@@ -14,11 +14,10 @@ Four commands expose the main pipeline:
   omission, and corruption scenarios;
 * ``exp run`` / ``exp report`` — the experiment orchestration subsystem:
   declarative sweeps (many sizes x intensities x trials) executed across
-  a worker pool into a resumable JSONL store, then aggregated into
-  scaling tables with log-log exponent fits; ``--fleet`` /
-  ``--keep-warm`` route the sweep onto a persistent warm worker fleet
-  (:mod:`repro.exp.fleet`) with shared-memory result transport and a
-  content-addressed trial memo;
+  worker processes into a resumable JSONL store, then aggregated into
+  scaling tables with log-log exponent fits; ``--keep-warm`` keeps the
+  workers (:mod:`repro.exp.fleet`) alive across the sweeps of one
+  interpreter, with a content-addressed trial memo;
 * ``chaos run`` / ``chaos replay`` — monitor-instrumented campaigns over
   scheduler x fault-intensity grids; violations are shrunk to minimal
   JSON reproductions (``--shrink``) that replay bit-identically;
@@ -357,20 +356,17 @@ def cmd_exp_run(args: argparse.Namespace) -> int:
     from repro.exp.store import ResultStore
     from repro.exp.supervise import TrialExecutionError
 
-    keep_warm = getattr(args, "keep_warm", False)
     fleet = None
     try:
         spec = _spec_from_args(args)
         spec.validate()
         store = ResultStore(args.store) if args.store else None
-        if getattr(args, "fleet", False) or keep_warm:
-            from repro.exp.fleet import WorkerFleet, get_fleet
+        if getattr(args, "keep_warm", False):
+            from repro.exp.fleet import get_fleet
 
-            # --keep-warm shares one process-wide fleet across every
-            # sweep of this interpreter; plain --fleet gets a private
-            # fleet torn down when the command finishes.
-            fleet = (get_fleet(args.workers) if keep_warm
-                     else WorkerFleet(args.workers))
+            # One process-wide fleet shared by every sweep of this
+            # interpreter, shut down at exit.
+            fleet = get_fleet(args.workers)
         result = run_experiment(
             spec, store=store, workers=args.workers,
             retry_quarantined=getattr(args, "retry_quarantined", False),
@@ -385,9 +381,6 @@ def cmd_exp_run(args: argparse.Namespace) -> int:
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1
-    finally:
-        if fleet is not None and not keep_warm:
-            fleet.close()
     aggregates = aggregate(result.records, metric=args.metric)
     if args.json:
         payload = report_dict(aggregates, spec=spec, metric=args.metric,
@@ -715,7 +708,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         print("hint: pip install -e '.[perf]' enables the JIT-compiled "
               "numba backend")
     shm = fleet["shared_memory"]
-    print("worker fleet (exp run --fleet / --keep-warm):")
+    print("worker fleet (exp run --workers N / --keep-warm):")
     print(f"  start method   {fleet['start_method']}")
     status = ("available" if shm["available"]
               else f"unavailable ({shm['reason']})")
@@ -768,9 +761,9 @@ def cmd_chaos_replay(args: argparse.Namespace) -> int:
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     """Supervision flags shared by ``exp run`` and ``chaos run``.
 
-    Any non-default value routes the sweep through the supervised worker
-    pool (:mod:`repro.exp.supervise`); all-default flags keep the legacy
-    in-process path and leave the spec's content hash unchanged.
+    Any non-default value runs the sweep under supervision on worker
+    processes (:mod:`repro.exp.supervise`), even with ``--workers 1``;
+    all-default flags leave the spec's content hash unchanged.
     """
     parser.add_argument("--timeout-s", type=float, default=None,
                         dest="timeout_s", metavar="SECONDS",
@@ -941,21 +934,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSONL result store (enables resume)")
     exp_run.add_argument("--workers", type=int, default=1,
                          help="worker processes (default 1 = in-process)")
-    exp_run.add_argument("--fleet", action="store_true",
-                         help="run on a persistent warm worker fleet "
-                              "(repro.exp.fleet): the spec is broadcast "
-                              "once, workers keep compiled tables and "
-                              "JIT kernels warm, large results ride a "
-                              "shared-memory ring, and repeated trials "
-                              "are served from the content-addressed "
-                              "memo. Records are byte-identical to the "
-                              "pool path; fleet size follows --workers")
     exp_run.add_argument("--keep-warm", action="store_true",
                          dest="keep_warm",
-                         help="like --fleet, but reuse one process-wide "
-                              "fleet across every sweep of this "
-                              "interpreter (for drivers that call the "
-                              "CLI in-process); shut down at exit")
+                         help="run on one process-wide warm worker fleet "
+                              "(repro.exp.fleet) reused across every "
+                              "sweep of this interpreter (for drivers "
+                              "that call the CLI in-process): workers "
+                              "keep compiled tables and JIT kernels warm "
+                              "and repeated trials are served from the "
+                              "content-addressed memo; records are "
+                              "byte-identical. Fleet size follows "
+                              "--workers; shut down at exit")
     exp_run.add_argument("--metric", default="converged_at",
                          choices=("converged_at", "interactions"))
     _add_execution_flags(exp_run)
@@ -1090,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--skip-supervision", action="store_true",
                        help="skip the supervised-vs-plain sweep row")
     bench.add_argument("--skip-fleet", action="store_true",
-                       help="skip the cold-pool-vs-warm-fleet sweep rows")
+                       help="skip the per-call-vs-warm-fleet sweep rows")
     bench.add_argument("--max-supervision-overhead", type=float,
                        default=1.02, metavar="RATIO",
                        help="supervised/plain wall-clock ratio that fails "

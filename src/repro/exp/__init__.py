@@ -7,17 +7,18 @@ them as data instead of bespoke loops:
 
 * :mod:`repro.exp.spec` — :class:`ExperimentSpec`, the declarative sweep
   description with a stable content hash;
-* :mod:`repro.exp.runner` — order-independent seeded execution, serial
-  or across a multiprocessing pool;
+* :mod:`repro.exp.runner` — order-independent seeded execution,
+  in-process or across worker processes;
 * :mod:`repro.exp.store` — append-only JSONL store making sweeps
   resumable at trial granularity;
-* :mod:`repro.exp.supervise` — the supervised worker pool: per-trial
-  timeouts, retry with backoff, crashed-worker respawn, and poison-trial
-  quarantine (enabled by a non-default :class:`ExecutionPolicy`);
-* :mod:`repro.exp.fleet` — the persistent warm worker fleet: cross-sweep
-  process reuse, install-once spec broadcast, shared-memory result
-  transport, and content-addressed trial memoization
-  (``exp run --fleet`` / ``--keep-warm``);
+* :mod:`repro.exp.supervise` — the one scheduling loop under every
+  sweep that leaves the parent process: per-trial timeouts, retry with
+  backoff, crashed-worker respawn, and poison-trial quarantine (enabled
+  by a non-default :class:`ExecutionPolicy`);
+* :mod:`repro.exp.fleet` — the warm worker processes that loop runs
+  on: install-once spec broadcast and shared-memory result transport,
+  plus, for a persistent fleet (``exp run --keep-warm``), cross-sweep
+  process reuse and content-addressed trial memoization;
 * :mod:`repro.exp.report` — per-point aggregates, scaling tables with
   log-log exponent fits, CSV export, failure summaries;
 * :mod:`repro.exp.bench` — engine kernel benchmarks and the

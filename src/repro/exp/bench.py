@@ -461,7 +461,7 @@ def run_supervision_benchmark(*, smoke: bool = False, seed: int = BENCH_SEED,
 def run_fleet_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
                          repeats: int = 2, backend: "str | None" = None,
                          workers: int = 2, progress=None) -> list[dict]:
-    """Cold-start pool vs persistent warm fleet, as baseline rows.
+    """Per-call worker set vs persistent warm fleet, as baseline rows.
 
     Two workloads, each timed both ways:
 
@@ -471,11 +471,13 @@ def run_fleet_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
       rival the actual simulation work;
     * a minimal back-to-back sweep (``sweep-startup-cold`` vs
       ``sweep-startup-warm``, unit ``sweeps``) — pure sweep startup
-      latency, the number the ``--fleet``/``--keep-warm`` flags exist
-      to shrink.
+      latency, the number ``--keep-warm`` exists to shrink.
 
-    The cold rows pay the legacy pool path end to end, fresh processes
-    every repeat.  The warm rows reuse one :class:`WorkerFleet` whose
+    The "cold" rows measure the per-call worker set that
+    ``run_experiment(workers=N)`` spawns, installs and closes around
+    every sweep: fresh processes every repeat.  (Their row keys,
+    ``sweep-cold-pool`` and ``sweep-startup-cold``, predate that set
+    and are kept so committed baselines still match.)  The warm rows reuse one :class:`WorkerFleet` whose
     spawn + install + warm-up sweep happen before timing starts (the
     standard discarded warm-up repeat).  Every repeat — cold and warm —
     runs a spec with a distinct base seed, so the fleet's
@@ -545,7 +547,7 @@ def run_fleet_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
 
     # Cold rows: the warm-up repeat only absorbs parent-process one-time
     # costs (imports, protocol registry); each timed repeat still pays
-    # the pool spawn, which is the point.
+    # the worker spawn, which is the point.
     cold_sweep(seed)  # warm-up repeat, discarded
     seconds = timed(cold_sweep, runs=repeats, seed_base=seed + 10)
     emit("sweep-cold-pool", steps=total_trials, unit="trials",

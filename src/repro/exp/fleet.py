@@ -1,32 +1,33 @@
-"""Persistent warm worker fleet: cross-sweep process reuse.
+"""Warm worker processes: the workers of every out-of-process sweep.
 
-The plain runner (:func:`repro.exp.runner.run_experiment`) and the
-supervision layer (:mod:`repro.exp.supervise`) both pay a fixed tax per
-*sweep*: a fresh ``multiprocessing`` pool is spawned, every worker
-re-parses the spec out of each task tuple, every worker re-compiles the
-protocol tables, and — on the numba kernel backend — every fresh
-process re-pays JIT compilation before its first trial.  For the dense
-Monte-Carlo campaigns the paper's predicates need (thousands of trials
-per point to pin finite-``n`` convergence laws), that tax dominates
-exactly the sweeps one wants to run back to back.
+:class:`WorkerFleet` owns the worker processes that
+:func:`repro.exp.supervise.run_supervised` dispatches to.  A sweep run
+with ``workers > 1`` (or under a non-default execution policy) gets a
+per-call fleet that is closed when the sweep ends; a *persistent* fleet
+(``run_experiment(fleet=...)``, ``exp run --keep-warm``) is spawned
+**once** and reused across :func:`~repro.exp.runner.run_experiment`
+calls and whole campaigns.
 
-:class:`WorkerFleet` removes it.  A fleet is spawned **once** and
-reused across :func:`~repro.exp.runner.run_experiment` calls and whole
-campaigns:
+Every fleet has:
 
-* **Warm workers.**  Fleet workers are long-lived processes.  The keyed
-  :func:`~repro.sim.compiled.compile_protocol` memo, the constructed
-  step kernels (numba JIT paid once per fleet lifetime, not once per
-  sweep), and the protocol registry all persist across sweeps.
-* **Install broadcast.**  The spec is shipped to each worker exactly
-  once per sweep via an ``install`` message; task tuples then carry
-  only the spec *hash* plus point coordinates, instead of pickling the
-  whole spec dict into every task the way the pool path does.
+* **Install broadcast.**  The spec is shipped to each worker once via
+  an ``install`` message that parses, validates and compiles it (and
+  constructs the step kernels — JIT compilation on the numba backend);
+  task messages then carry only the spec *hash*, the point, and its
+  trials.
 * **Shared-memory result transport.**  Each worker owns a
   ``multiprocessing.shared_memory`` ring buffer; result payloads at or
   above :data:`SHM_THRESHOLD_BYTES` move through it (the parent copies
   them out on receipt), with plain pipe pickling as the fallback for
   small records and for platforms without shared memory.
+
+A persistent fleet adds:
+
+* **Lifetime across sweeps.**  The keyed
+  :func:`~repro.sim.compiled.compile_protocol` memo, the constructed
+  step kernels (numba JIT paid once per fleet lifetime, not once per
+  sweep), and the installed specs persist, so back-to-back sweeps skip
+  process spawn and warm-up.
 * **Content-addressed trial memo.**  Trial ids are already SHA-256 over
   ``(spec hash, point, trial)`` (:func:`repro.exp.runner.trial_id`) —
   the same content-addressing the ResultStore resumes by — so the fleet
@@ -36,19 +37,18 @@ campaigns:
 
 Contracts preserved exactly:
 
-* records are **byte-identical** to the pool path (and to ``workers=1``
-  in-process execution) — the workers run the very same
-  :func:`~repro.exp.runner.run_trial` /
+* records are **byte-identical** to ``workers=1`` in-process execution
+  — the workers run the very same :func:`~repro.exp.runner.run_trial` /
   :func:`~repro.exp.runner.run_ensemble_point` /
   :func:`~repro.exp.runner.run_fluid_point` functions on the same
   identity-derived seeds;
 * trial seeds stay execution-order-independent (the fleet never touches
   seed derivation);
-* the PR 6 supervision semantics apply unchanged — per-trial timeouts
-  (worker alarm + parent deadline kill), deterministic-jitter retry,
-  quarantine, and crashed-worker respawn, where a respawned fleet
-  worker is **re-warmed** (every installed spec is replayed into it
-  before it rejoins the pool).
+* the supervision semantics of ``spec.execution`` apply unchanged —
+  per-trial timeouts (worker alarm + parent deadline kill),
+  deterministic-jitter retry, quarantine, and crashed-worker respawn,
+  where a respawned worker is **re-warmed** (every installed spec is
+  replayed into it before it rejoins the fleet).
 
 This module is the performance core under the ROADMAP ``repro serve``
 item: the HTTP layer will schedule jobs onto exactly this fleet.
@@ -63,18 +63,15 @@ import signal
 import time
 import traceback
 import multiprocessing
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.exp.supervise import (
     SupervisedTask,
     SupervisionStats,
-    TrialExecutionError,
     TrialTimeout,
-    _grace_s,
     _mp_context,
-    backoff_delay,
-    failure_records,
+    run_supervised,
 )
 
 #: Default shared-memory ring size per worker.  Payloads larger than the
@@ -236,27 +233,6 @@ def _warm_spec(spec) -> None:
         select_kernels(requested, family)
 
 
-def _execute_coords(spec, kind: str, coords: tuple,
-                    spec_hash: str) -> list:
-    """Run one fleet task from its point coordinates."""
-    from repro.exp.runner import (
-        SweepPoint,
-        run_ensemble_point,
-        run_fluid_point,
-        run_trial,
-    )
-
-    n, intensity, scheduler, trial_or_trials = coords
-    point = SweepPoint(n, intensity, scheduler)
-    if kind == "ensemble":
-        return run_ensemble_point(spec, point, list(trial_or_trials),
-                                  spec_hash=spec_hash)
-    if kind == "fluid":
-        return run_fluid_point(spec, point, list(trial_or_trials),
-                               spec_hash=spec_hash)
-    return [run_trial(spec, point, trial_or_trials, spec_hash=spec_hash)]
-
-
 def _worker_stats_payload(installed: "OrderedDict") -> dict:
     from repro.sim.backends import warmed_kernels
     from repro.sim.compiled import compile_cache_stats
@@ -278,18 +254,22 @@ def _fleet_worker_main(conn, ring_name: "str | None", ring_size: int,
     * ``("install", seq, spec_dict, spec_hash)`` — parse + validate the
       spec once, warm the compile/kernel caches (bounded by the install
       alarm), remember it by hash; ack ``(seq, "installed", hash, s)``.
-    * ``("task", seq, kind, spec_hash, coords, timeout_s)`` — execute
-      one trial or point batch against the installed spec; reply
-      ``(seq, "ok", records, s)`` over the pipe, or
-      ``(seq, "ok-shm", (offset, nbytes), s)`` with the pickled records
-      parked in the shared-memory ring, or ``timeout`` / ``error``
-      exactly like the supervised pool workers.
+    * ``("task", seq, kind, spec_hash, point, trials, timeout_s)`` —
+      execute a :class:`~repro.exp.supervise.SupervisedTask` against
+      the installed spec; reply ``(seq, "ok", records, s)`` over the
+      pipe, or ``(seq, "ok-shm", (offset, nbytes), s)`` with the pickled
+      records parked in the shared-memory ring, or
+      ``(seq, "timeout", message, s)``, or
+      ``(seq, "error", (type, message, traceback, trial), s)`` where
+      ``trial`` is the trial a ``"trial"`` task was running (None for a
+      point batch).
     * ``("stats", seq)`` — cache observability for tests and doctor.
     * ``None`` — exit.
 
     The alarm is armed per task and always disarmed before replying, so
     a late signal can never leak into the next task.
     """
+    from repro.exp.runner import _POINT_FUNCS, run_trial
     from repro.exp.spec import ExperimentSpec
 
     if hasattr(signal, "SIGALRM"):
@@ -351,7 +331,8 @@ def _fleet_worker_main(conn, ring_name: "str | None", ring_size: int,
         elif tag == "stats":
             reply = (seq, "stats", _worker_stats_payload(installed), 0.0)
         elif tag == "task":
-            _, _, kind, spec_hash, coords, timeout_s = message
+            _, _, kind, spec_hash, point, trials, timeout_s = message
+            current = None  # the trial a chunk is running
             try:
                 spec = installed.get(spec_hash)
                 if spec is None:
@@ -360,7 +341,15 @@ def _fleet_worker_main(conn, ring_name: "str | None", ring_size: int,
                         "fleet worker (install broadcast missed?)")
                 arm(timeout_s)
                 try:
-                    records = _execute_coords(spec, kind, coords, spec_hash)
+                    if kind == "trial":
+                        records = []
+                        for current in trials:
+                            records.append(run_trial(spec, point, current,
+                                                     spec_hash=spec_hash))
+                    else:
+                        records = _POINT_FUNCS[kind](spec, point,
+                                                     list(trials),
+                                                     spec_hash=spec_hash)
                 finally:
                     disarm()
                 elapsed = time.perf_counter() - start
@@ -378,7 +367,7 @@ def _fleet_worker_main(conn, ring_name: "str | None", ring_size: int,
             except BaseException as exc:
                 reply = (seq, "error",
                          (type(exc).__name__, str(exc),
-                          traceback.format_exc()),
+                          traceback.format_exc(), current),
                          time.perf_counter() - start)
         else:
             reply = (seq, "error",
@@ -394,10 +383,15 @@ def _fleet_worker_main(conn, ring_name: "str | None", ring_size: int,
 
 
 class _FleetWorker:
-    """One persistent fleet worker with a private pipe and shm ring."""
+    """One warm worker process with a private pipe and shm ring.
+
+    The handle :func:`repro.exp.supervise.run_supervised` dispatches to.
+    Replies it reads are counted in the owning fleet's ``stats``.
+    """
 
     def __init__(self, ctx, ring_bytes: int, shm_threshold: int,
-                 use_shm: bool):
+                 use_shm: bool, stats: "FleetStats"):
+        self.stats = stats
         self.ring = None
         ring_name = None
         if use_shm and ring_bytes > 0:
@@ -427,16 +421,28 @@ class _FleetWorker:
         self.seq += 1
         return self.seq
 
-    def dispatch_task(self, task: SupervisedTask,
-                      timeout_s: "float | None") -> int:
+    def dispatch(self, task: SupervisedTask, spec_hash: str,
+                 timeout_s: "float | None") -> int:
         seq = self.next_seq()
-        spec_hash, coords = task.payload
-        self.conn.send(("task", seq, task.kind, spec_hash, coords,
-                        timeout_s))
+        self.conn.send(("task", seq, task.kind, spec_hash, task.point,
+                        task.trials, timeout_s))
         return seq
 
-    def read_ring(self, offset: int, nbytes: int) -> bytes:
-        return bytes(self.ring.buf[offset:offset + nbytes])
+    def recv(self) -> tuple:
+        """The next reply.  An ``ok-shm`` payload comes back as bytes
+        copied out of the ring, so the worker may overwrite its slot as
+        soon as it is dispatched again."""
+        reply = self.conn.recv()
+        seq, status, detail, elapsed = reply
+        if status == "ok-shm":
+            offset, nbytes = detail
+            self.stats.shm_results += 1
+            self.stats.shm_bytes += nbytes
+            return (seq, status,
+                    bytes(self.ring.buf[offset:offset + nbytes]), elapsed)
+        if status == "ok":
+            self.stats.pipe_results += 1
+        return reply
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -506,54 +512,8 @@ class FleetStats:
                 "shm_bytes": self.shm_bytes, "respawns": self.respawns}
 
 
-def _build_fleet_tasks(spec, pending, spec_hash: str) -> list:
-    """Fleet task list for the pending ``(point, trial)`` pairs.
-
-    Shapes match the supervision builders exactly (one task per trial,
-    or one per point batch for the point engines) but payloads carry
-    only ``(spec_hash, coords)`` — the spec itself was installed once.
-    """
-    from repro.exp.runner import (
-        POINT_ENGINES,
-        group_pending_by_point,
-        trial_id,
-        trial_seeds,
-    )
-
-    tasks = []
-    if spec.engine in POINT_ENGINES:
-        kind = "fluid" if spec.engine == "fluid" else "ensemble"
-        for point, trial_list in group_pending_by_point(pending):
-            trials = []
-            for trial in trial_list:
-                engine_seed, fault_seed = trial_seeds(spec_hash, point, trial)
-                trials.append({"id": trial_id(spec_hash, point, trial),
-                               "n": point.n, "intensity": point.intensity,
-                               "scheduler": point.scheduler, "trial": trial,
-                               "engine_seed": engine_seed,
-                               "fault_seed": fault_seed})
-            tasks.append(SupervisedTask(
-                key=point.key, kind=kind,
-                payload=(spec_hash, (point.n, point.intensity,
-                                     point.scheduler, tuple(trial_list))),
-                trials=trials))
-        return tasks
-    for point, trial in pending:
-        tid = trial_id(spec_hash, point, trial)
-        engine_seed, fault_seed = trial_seeds(spec_hash, point, trial)
-        tasks.append(SupervisedTask(
-            key=tid, kind="trial",
-            payload=(spec_hash, (point.n, point.intensity,
-                                 point.scheduler, trial)),
-            trials=[{"id": tid, "n": point.n, "intensity": point.intensity,
-                     "scheduler": point.scheduler, "trial": trial,
-                     "engine_seed": engine_seed,
-                     "fault_seed": fault_seed}]))
-    return tasks
-
-
 class WorkerFleet:
-    """A persistent pool of warm worker processes (see module docstring).
+    """A set of warm worker processes (see module docstring).
 
     Spawn once, run many sweeps::
 
@@ -563,9 +523,9 @@ class WorkerFleet:
                                                   # no recompiles
 
     Workers are forked at construction time (where fork is available),
-    so — like the supervised pool — they inherit in-process protocol
-    registrations.  The fleet is not thread-safe: one sweep runs at a
-    time (the ``repro serve`` layer will own the queueing).
+    so they inherit in-process protocol registrations.  The fleet is not
+    thread-safe: one sweep runs at a time (the ``repro serve`` layer
+    will own the queueing).
     """
 
     def __init__(self, workers: "int | None" = None, *,
@@ -579,18 +539,19 @@ class WorkerFleet:
         self.shm_reason = (shared_memory_reason() if ring_bytes > 0
                            else "disabled (ring_bytes=0)")
         self._ctx = _mp_context()
+        self.stats = FleetStats()
         self._workers = [self._spawn() for _ in range(self.size)]
         #: spec_hash -> spec_dict, in install order (replayed on respawn).
         self._installed: "OrderedDict[str, dict]" = OrderedDict()
         self._memo: "OrderedDict[str, dict]" = OrderedDict()
-        self.stats = FleetStats()
         self.closed = False
 
     # -- Lifecycle -------------------------------------------------------------
 
     def _spawn(self) -> _FleetWorker:
         return _FleetWorker(self._ctx, self.ring_bytes, self.shm_threshold,
-                            use_shm=self.shm_reason is None)
+                            use_shm=self.shm_reason is None,
+                            stats=self.stats)
 
     def __enter__(self) -> "WorkerFleet":
         return self
@@ -633,12 +594,15 @@ class WorkerFleet:
                 continue  # stale reply from an abandoned dispatch
             return reply
 
-    def _install_on(self, worker: _FleetWorker, spec_hash: str,
-                    spec_dict: dict) -> None:
+    def _send_install(self, worker: _FleetWorker, spec_hash: str,
+                      spec_dict: dict) -> int:
         seq = worker.next_seq()
         worker.conn.send(("install", seq, spec_dict, spec_hash))
-        reply = self._ack(worker, seq)
-        _, status, detail, _ = reply
+        return seq
+
+    def _await_install(self, worker: _FleetWorker, seq: int,
+                       spec_hash: str) -> None:
+        _, status, detail, _ = self._ack(worker, seq)
         if status != "installed":
             error_type, message, trace = detail
             raise RuntimeError(
@@ -650,8 +614,7 @@ class WorkerFleet:
         """Broadcast ``spec`` to every worker that lacks it (idempotent).
 
         Returns the spec's content hash.  After this, task messages for
-        the sweep carry only the hash — the one-per-sweep broadcast is
-        what replaces the per-task spec pickling of the pool path.
+        the sweep carry only the hash, not the spec.
         """
         self._check_open()
         spec_hash = spec_hash or spec.content_hash()
@@ -660,24 +623,26 @@ class WorkerFleet:
         self._installed.move_to_end(spec_hash)
         while len(self._installed) > MAX_INSTALLED_SPECS:
             self._installed.popitem(last=False)
-        for index, worker in enumerate(self._workers):
-            if spec_hash in worker.installed:
-                continue
+        # Send to every worker before awaiting any ack, so the workers
+        # parse and warm up in parallel.
+        sent = [(worker, self._send_install(worker, spec_hash, spec_dict))
+                for worker in self._workers
+                if spec_hash not in worker.installed]
+        for worker, seq in sent:
             try:
-                self._install_on(worker, spec_hash, spec_dict)
+                self._await_install(worker, seq, spec_hash)
             except RuntimeError:
-                if not worker.alive():
-                    # Died mid-handshake: one warm respawn retry.
-                    self._workers[index] = self._respawn(worker)
-                else:
+                if worker.alive():
                     raise
+                # Died mid-handshake: one warm respawn retry.
+                self._respawn(worker)
         return spec_hash
 
     def _respawn(self, worker: _FleetWorker) -> _FleetWorker:
         """Replace a dead/wedged worker with a freshly *warmed* one.
 
         The replacement gets every installed spec replayed before it
-        rejoins the pool, so a respawn after a crash never reintroduces
+        rejoins the fleet, so a respawn after a crash never reintroduces
         cold-start costs into the sweep.
         """
         index = self._workers.index(worker)
@@ -686,7 +651,8 @@ class WorkerFleet:
         self._workers[index] = fresh
         self.stats.respawns += 1
         for spec_hash, spec_dict in self._installed.items():
-            self._install_on(fresh, spec_hash, spec_dict)
+            seq = self._send_install(fresh, spec_hash, spec_dict)
+            self._await_install(fresh, seq, spec_hash)
         return fresh
 
     # -- Trial memo ------------------------------------------------------------
@@ -722,15 +688,15 @@ class WorkerFleet:
 
     def run_pending(self, spec, pending, spec_hash: str, *,
                     on_record, on_failure) -> tuple:
-        """Execute a sweep's pending trials; the runner's entry point.
+        """Execute a sweep's pending trials; the runner's entry point
+        for a persistent fleet.
 
         Serves memoized records first (byte-identical, zero execution),
-        then dispatches the rest across the warm workers under
-        ``spec.execution`` — the same supervision policy semantics as
-        :func:`repro.exp.supervise.run_supervised`.  Returns
+        then runs the rest as :func:`repro.exp.runner.build_tasks` tasks
+        through :meth:`execute` under ``spec.execution``.  Returns
         ``(SupervisionStats, per-run info dict)``.
         """
-        from repro.exp.runner import trial_id
+        from repro.exp.runner import build_tasks, trial_id
 
         self._check_open()
         self.install(spec, spec_hash)
@@ -744,7 +710,7 @@ class WorkerFleet:
                 served += 1
             else:
                 remaining.append((point, trial))
-        tasks = _build_fleet_tasks(spec, remaining, spec_hash)
+        tasks = build_tasks(spec, remaining, self.size)
 
         def collect(records) -> None:
             for record in records:
@@ -768,177 +734,24 @@ class WorkerFleet:
 
     def execute(self, tasks, *, policy, spec_hash: str, on_records=None,
                 on_failure=None, poll_s: float = 0.05) -> SupervisionStats:
-        """Supervised dispatch of ``tasks`` across the persistent workers.
+        """Supervised dispatch of ``tasks`` across the warm workers.
 
-        Semantics mirror :func:`repro.exp.supervise.run_supervised` —
-        worker-side alarm timeouts, parent-side deadline kills,
-        deterministic-jitter retry, quarantine/skip/raise disposition —
-        with two fleet twists: workers survive the call, and a killed
-        worker is respawned *warm* (installs replayed).
+        :func:`repro.exp.supervise.run_supervised` over this fleet's
+        workers, with the warm respawn hook: a killed or crashed worker
+        is replaced by one with every installed spec replayed.  Workers
+        survive the call.
         """
         self._check_open()
-        stats = SupervisionStats(tasks=len(tasks))
-        if not tasks:
-            return stats
-        ready: deque = deque(tasks)
-        waiting: list = []  # backoff-delayed tasks, any order
-        busy: dict = {}  # worker -> (task, seq, started, deadline | None)
 
-        def finalize_failure(task: SupervisedTask) -> None:
-            if policy.on_error == "raise":
-                raise TrialExecutionError(
-                    failure_records(task, spec_hash)[0])
-            if policy.on_error == "skip":
-                stats.skipped += len(task.trials)
-                return
-            stats.quarantined += len(task.trials)
-            if on_failure is not None:
-                for record in failure_records(task, spec_hash):
-                    on_failure(record)
+        def done(records) -> None:
+            self.stats.tasks += 1
+            if on_records is not None:
+                on_records(records)
 
-        def note_failed_attempt(task: SupervisedTask, outcome: dict) -> None:
-            task.attempts.append(outcome)
-            stats.attempts += 1
-            if len(task.attempts) >= policy.max_attempts:
-                finalize_failure(task)
-                return
-            stats.retries += 1
-            task.not_before = (time.monotonic()
-                               + backoff_delay(policy, task.key,
-                                               len(task.attempts)))
-            waiting.append(task)
-
-        try:
-            while ready or waiting or busy:
-                now = time.monotonic()
-                still_waiting = [t for t in waiting if t.not_before > now]
-                for task in waiting:
-                    if task.not_before <= now:
-                        ready.append(task)
-                waiting[:] = still_waiting
-
-                for worker in self._workers:
-                    if not ready:
-                        break
-                    if worker in busy:
-                        continue
-                    task = ready.popleft()
-                    deadline = None
-                    if policy.timeout_s:
-                        deadline = now + policy.timeout_s + _grace_s(
-                            policy.timeout_s)
-                    seq = worker.dispatch_task(task, policy.timeout_s)
-                    busy[worker] = (task, seq, now, deadline)
-
-                if not busy:
-                    if waiting:
-                        pause = min(t.not_before for t in waiting) - now
-                        if pause > 0:
-                            time.sleep(min(pause, poll_s * 4))
-                    continue
-
-                conns = {worker.conn: worker for worker in busy}
-                readable = multiprocessing.connection.wait(
-                    list(conns), timeout=poll_s)
-
-                for conn in readable:
-                    worker = conns[conn]
-                    task, seq, started, _ = busy[worker]
-                    try:
-                        reply = conn.recv()
-                    except (EOFError, OSError):
-                        del busy[worker]
-                        exitcode = worker.process.exitcode
-                        self._respawn(worker)
-                        stats.crashes += 1
-                        note_failed_attempt(task, {
-                            "attempt": len(task.attempts) + 1,
-                            "outcome": "crashed",
-                            "error_type": "WorkerCrashed",
-                            "message": (f"fleet worker died "
-                                        f"(exitcode {exitcode})"),
-                            "elapsed_s": round(time.monotonic() - started,
-                                               3),
-                        })
-                        continue
-                    reply_seq, status, detail, elapsed = reply
-                    if reply_seq != seq:
-                        # Stale reply from an abandoned dispatch; the
-                        # current task is still in flight — keep waiting.
-                        continue
-                    del busy[worker]
-                    if status in ("ok", "ok-shm"):
-                        stats.attempts += 1
-                        self.stats.tasks += 1
-                        if status == "ok-shm":
-                            offset, nbytes = detail
-                            records = pickle.loads(
-                                worker.read_ring(offset, nbytes))
-                            self.stats.shm_results += 1
-                            self.stats.shm_bytes += nbytes
-                        else:
-                            records = detail
-                            self.stats.pipe_results += 1
-                        if on_records is not None:
-                            on_records(records)
-                    elif status == "timeout":
-                        stats.timeouts += 1
-                        note_failed_attempt(task, {
-                            "attempt": len(task.attempts) + 1,
-                            "outcome": "timeout",
-                            "error_type": "TrialTimeout",
-                            "message": detail,
-                            "elapsed_s": round(elapsed, 3),
-                        })
-                    else:
-                        error_type, message, trace = detail
-                        stats.errors += 1
-                        note_failed_attempt(task, {
-                            "attempt": len(task.attempts) + 1,
-                            "outcome": "error",
-                            "error_type": error_type,
-                            "message": message,
-                            "traceback": trace,
-                            "elapsed_s": round(elapsed, 3),
-                        })
-
-                now = time.monotonic()
-                for worker in list(busy):
-                    task, seq, started, deadline = busy[worker]
-                    if deadline is not None and now > deadline:
-                        del busy[worker]
-                        self._respawn(worker)
-                        stats.timeouts += 1
-                        note_failed_attempt(task, {
-                            "attempt": len(task.attempts) + 1,
-                            "outcome": "timeout",
-                            "error_type": "TrialTimeout",
-                            "message": ("wall-clock budget exceeded; fleet "
-                                        "worker killed by supervisor "
-                                        "deadline and respawned warm"),
-                            "elapsed_s": round(now - started, 3),
-                        })
-                    elif not worker.alive():
-                        del busy[worker]
-                        exitcode = worker.process.exitcode
-                        self._respawn(worker)
-                        stats.crashes += 1
-                        note_failed_attempt(task, {
-                            "attempt": len(task.attempts) + 1,
-                            "outcome": "crashed",
-                            "error_type": "WorkerCrashed",
-                            "message": f"fleet worker died "
-                                       f"(exitcode {exitcode})",
-                            "elapsed_s": round(now - started, 3),
-                        })
-        except BaseException:
-            # Abandon in-flight work cleanly: a worker with an
-            # unconsumed reply must never rejoin the pool, or a later
-            # sweep would read a stale result.  Respawn (warm) instead.
-            for worker in list(busy):
-                self._respawn(worker)
-            raise
-        return stats
+        return run_supervised(tasks, policy=policy, spec_hash=spec_hash,
+                              workers=self._workers, respawn=self._respawn,
+                              on_records=done, on_failure=on_failure,
+                              poll_s=poll_s)
 
     # -- Observability ---------------------------------------------------------
 

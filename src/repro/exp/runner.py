@@ -4,8 +4,9 @@ The runner turns an :class:`~repro.exp.spec.ExperimentSpec` into its
 point grid (``ns`` x fault intensities), derives every trial's seeds
 purely from ``(spec content hash, point, trial index)`` via
 :func:`repro.util.rng.derive_seed`, and executes the trials either
-in-process or across a ``multiprocessing`` pool.  Because no seed
-depends on execution order, the set of records produced is bit-identical
+in-process or as tasks of the one supervised worker loop
+(:func:`repro.exp.supervise.run_supervised`).  Because no seed depends
+on execution order, the set of records produced is bit-identical
 whether the sweep ran on one worker or sixteen, forwards or backwards —
 the determinism invariant the test suite pins down.
 
@@ -25,19 +26,15 @@ from repro.exp.spec import ExperimentSpec
 from repro.exp.store import ResultStore
 from repro.util.rng import derive_seed
 
-#: Pool workers are recycled after this many task chunks so a long sweep
-#: cannot accumulate per-process memory (caches, fragmentation) forever.
-_MAX_TASKS_PER_CHILD = 128
-
-#: Upper bound on the pool dispatch chunk size.  The load-balancing
-#: formula (tasks / workers / 4) makes very large chunks on huge sweeps,
+#: Upper bound on the trial-chunk size of one task.  The load-balancing
+#: formula (trials / workers / 4) makes very large chunks on huge sweeps,
 #: and one slow trial then head-of-line-blocks its whole chunk; the cap
 #: keeps the longest possible stall bounded regardless of sweep size.
 _CHUNK_CAP = 64
 
 
 def _chunk_size(n_tasks: int, workers: int) -> int:
-    """Pool dispatch chunk size: load-balanced, capped at ``_CHUNK_CAP``."""
+    """Trials per task: load-balanced, capped at ``_CHUNK_CAP``."""
     return max(1, min(_CHUNK_CAP, n_tasks // (workers * 4)))
 
 
@@ -476,45 +473,6 @@ def run_fluid_point(spec: ExperimentSpec, point: SweepPoint,
     return records
 
 
-#: Per-process memo of the last spec a pool worker deserialized: every
-#: task of one sweep carries the identical spec dict, so re-parsing (and
-#: re-validating) it per trial is pure per-task overhead.
-_SPEC_MEMO: dict = {}
-
-
-def _memoized_spec(spec_dict: dict, spec_hash: str) -> ExperimentSpec:
-    spec = _SPEC_MEMO.get(spec_hash)
-    if spec is None:
-        _SPEC_MEMO.clear()  # one sweep at a time; don't accumulate
-        spec = ExperimentSpec.from_dict(spec_dict)
-        _SPEC_MEMO[spec_hash] = spec
-    return spec
-
-
-def _pool_task(task) -> dict:
-    """Top-level worker entry point (must pickle across processes)."""
-    spec_dict, spec_hash, n, intensity, scheduler, trial = task
-    spec = _memoized_spec(spec_dict, spec_hash)
-    return run_trial(spec, SweepPoint(n, intensity, scheduler), trial,
-                     spec_hash=spec_hash)
-
-
-def _ensemble_pool_task(task) -> list[dict]:
-    """Worker entry point for one sweep point's lockstep batch."""
-    spec_dict, spec_hash, n, intensity, scheduler, trials = task
-    spec = _memoized_spec(spec_dict, spec_hash)
-    return run_ensemble_point(spec, SweepPoint(n, intensity, scheduler),
-                              list(trials), spec_hash=spec_hash)
-
-
-def _fluid_pool_task(task) -> list[dict]:
-    """Worker entry point for one sweep point's fluid integration."""
-    spec_dict, spec_hash, n, intensity, scheduler, trials = task
-    spec = _memoized_spec(spec_dict, spec_hash)
-    return run_fluid_point(spec, SweepPoint(n, intensity, scheduler),
-                           list(trials), spec_hash=spec_hash)
-
-
 #: Engines that execute a whole sweep point per task (one batch covers
 #: all of the point's trials) rather than one trial per task.
 POINT_ENGINES = ("ensemble", "fluid")
@@ -523,9 +481,9 @@ POINT_ENGINES = ("ensemble", "fluid")
 def group_pending_by_point(pending) -> list:
     """Pending ``(point, trial)`` pairs grouped into point batches.
 
-    Canonical order (by ``n`` then intensity) shared by every dispatch
-    path — in-process, pool, supervised, and the fleet — so point-batch
-    construction is identical regardless of how the sweep executes.
+    Canonical order (by ``n`` then intensity) shared by the in-process
+    path and :func:`build_tasks`, so point-batch construction is
+    identical regardless of how the sweep executes.
     """
     by_point: dict = {}
     for point, trial in pending:
@@ -533,9 +491,31 @@ def group_pending_by_point(pending) -> list:
     return sorted(by_point.items(),
                   key=lambda kv: (kv[0].n, kv[0].intensity or 0.0))
 
+
 _POINT_FUNCS = {"ensemble": run_ensemble_point, "fluid": run_fluid_point}
-_POINT_POOL_TASKS = {"ensemble": _ensemble_pool_task,
-                     "fluid": _fluid_pool_task}
+
+
+def build_tasks(spec: ExperimentSpec, pending, workers: int) -> list:
+    """The :class:`~repro.exp.supervise.SupervisedTask` list covering
+    the pending ``(point, trial)`` pairs.
+
+    A point engine gets one batch per point.  Trial engines get chunks
+    of one point's trials, sized by :func:`_chunk_size` under the
+    default policy and one trial per task otherwise, because timeouts,
+    retries and quarantine act per trial.
+    """
+    from repro.exp.supervise import SupervisedTask
+
+    groups = group_pending_by_point(pending)
+    if spec.engine in POINT_ENGINES:
+        return [SupervisedTask(spec.engine, point, tuple(trials))
+                for point, trials in groups]
+    size = 1
+    if spec.execution.is_default():
+        size = _chunk_size(len(pending), workers)
+    return [SupervisedTask("trial", point, tuple(trials[i:i + size]))
+            for point, trials in groups
+            for i in range(0, len(trials), size)]
 
 
 def record_sort_key(record: dict):
@@ -562,7 +542,7 @@ class ExperimentResult:
     #: store plus any quarantined by this call, canonically sorted.
     failures: list = dataclass_field(default_factory=list)
     #: Supervision counters (:meth:`SupervisionStats.to_dict`), or None
-    #: when the sweep ran on the unsupervised fast path.
+    #: when the sweep ran under the default policy without a fleet.
     supervision: "dict | None" = None
     #: Per-run fleet info (workers, memo hits, transport counters), or
     #: None when the sweep did not run on a :class:`repro.exp.fleet.
@@ -585,31 +565,30 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute every trial of ``spec`` that the store does not already hold.
 
-    ``workers > 1`` fans the pending trials out over a multiprocessing
-    pool; records are appended to the store as they complete (in
-    completion order — the store is an unordered set keyed by trial id)
-    and the returned :class:`ExperimentResult` is canonically sorted, so
-    aggregated output is identical for any worker count.  ``progress`` is
-    called with each freshly executed record.
+    Records are appended to the store as they complete (in completion
+    order — the store is an unordered set keyed by trial id) and the
+    returned :class:`ExperimentResult` is canonically sorted, so
+    aggregated output is identical for any worker count.  ``progress``
+    is called with each freshly executed record.
 
-    With a non-default ``spec.execution`` policy the sweep runs through
-    the supervision layer (:mod:`repro.exp.supervise`): per-trial
+    ``workers=1`` under the default ``spec.execution`` policy runs
+    in-process.  Every other sweep runs through the supervised worker
+    loop (:func:`repro.exp.supervise.run_supervised`) on a worker set
+    of ``min(workers, tasks)`` processes that lives for this call; an
+    erroring trial then surfaces as
+    :class:`~repro.exp.supervise.TrialExecutionError` carrying the
+    structured failure record.  A non-default policy adds per-trial
     timeouts, retry with backoff, crashed-worker recovery, and failure
     quarantine.  Quarantined trials resume as *failures* — they are not
     re-executed unless ``retry_quarantined`` is set (a later success
     then supersedes the stored failure record).
 
-    ``fleet`` — a :class:`repro.exp.fleet.WorkerFleet` — routes the
-    sweep onto persistent warm workers instead of a per-call pool: the
-    spec is installed once, the fleet's content-addressed memo serves
-    repeated trials without execution, and ``spec.execution`` applies
-    with identical supervision semantics.  ``workers`` is ignored in
+    ``fleet`` — a :class:`repro.exp.fleet.WorkerFleet` — runs the loop
+    on persistent warm workers instead: they outlive the call, the spec
+    is installed once per fleet, and the fleet's content-addressed memo
+    serves repeated trials without execution.  ``workers`` is ignored in
     favor of the fleet's own size, and records stay byte-identical to
-    every other path.  One caveat on the default policy: an erroring
-    trial surfaces as :class:`~repro.exp.supervise.TrialExecutionError`
-    (carrying the structured failure record) rather than the raw
-    exception, because fleet workers always report errors through the
-    supervision channel.
+    every other path.
     """
     spec.validate()
     if workers < 1:
@@ -645,103 +624,59 @@ def run_experiment(
         if progress is not None:
             progress(record)
 
+    def collect_all(records: list) -> None:
+        for record in records:
+            collect(record)
+
     def collect_failure(record: dict) -> None:
         if store is not None:
             store.append_failure(record)
         fresh_failures.append(record)
 
+    supervision = info = None
     if fleet is not None:
         stats, info = fleet.run_pending(spec, pending, spec_hash,
                                         on_record=collect,
                                         on_failure=collect_failure)
-        records = sorted(done_records + fresh, key=record_sort_key)
-        failures = sorted(done_failures + fresh_failures,
-                          key=record_sort_key)
-        return ExperimentResult(
-            spec=spec, spec_hash=spec_hash, records=records,
-            executed=len(fresh), skipped=len(done_records),
-            failures=failures, supervision=stats.to_dict(), fleet=info)
-
-    supervision = None
-    if not spec.execution.is_default():
-        from repro.exp.supervise import (
-            build_ensemble_tasks,
-            build_trial_tasks,
-            run_supervised,
-        )
-
-        if spec.engine in POINT_ENGINES:
-            tasks = build_ensemble_tasks(
-                spec, group_pending_by_point(pending), spec_hash)
-        else:
-            tasks = build_trial_tasks(spec, pending, spec_hash)
-        stats = run_supervised(
-            tasks, policy=spec.execution, spec_hash=spec_hash,
-            workers=workers,
-            on_records=lambda records: [collect(r) for r in records],
-            on_failure=collect_failure)
         supervision = stats.to_dict()
-        records = sorted(done_records + fresh, key=record_sort_key)
-        failures = sorted(done_failures + fresh_failures,
-                          key=record_sort_key)
-        return ExperimentResult(
-            spec=spec, spec_hash=spec_hash, records=records,
-            executed=len(fresh), skipped=len(done_records),
-            failures=failures, supervision=supervision)
-
-    if spec.engine in POINT_ENGINES:
-        # Point batches: one ensemble (or fluid integration) per sweep
-        # point covers all of the point's pending trials; workers (if
-        # any) fan out points.
-        point_func = _POINT_FUNCS[spec.engine]
-        groups = group_pending_by_point(pending)
-        if workers == 1 or len(groups) <= 1:
-            for point, trial_list in groups:
-                for record in point_func(spec, point, trial_list,
-                                         spec_hash=spec_hash):
-                    collect(record)
-        else:
-            import multiprocessing
-
-            spec_dict = spec.to_dict()
-            tasks = [(spec_dict, spec_hash, point.n, point.intensity,
-                      point.scheduler, tuple(trial_list))
-                     for point, trial_list in groups]
-            pool_task = _POINT_POOL_TASKS[spec.engine]
-            with multiprocessing.Pool(min(workers, len(tasks)),
-                                      maxtasksperchild=_MAX_TASKS_PER_CHILD
-                                      ) as pool:
-                for batch in pool.imap_unordered(pool_task, tasks):
-                    for record in batch:
-                        collect(record)
-    elif workers == 1 or len(pending) <= 1:
-        for point, trial in pending:
-            collect(run_trial(spec, point, trial, spec_hash=spec_hash))
     else:
-        import multiprocessing
+        default = spec.execution.is_default()
+        tasks = build_tasks(spec, pending, workers)
+        if default and (workers == 1 or len(tasks) <= 1):
+            if spec.engine in POINT_ENGINES:
+                # One ensemble (or fluid integration) per sweep point
+                # covers all of the point's pending trials.
+                point_func = _POINT_FUNCS[spec.engine]
+                for point, trial_list in group_pending_by_point(pending):
+                    collect_all(point_func(spec, point, trial_list,
+                                           spec_hash=spec_hash))
+            else:
+                for point, trial in pending:
+                    collect(run_trial(spec, point, trial,
+                                      spec_hash=spec_hash))
+        else:
+            from repro.exp.fleet import WorkerFleet
+            from repro.exp.supervise import SupervisionStats
 
-        spec_dict = spec.to_dict()
-        tasks = [(spec_dict, spec_hash, point.n, point.intensity,
-                  point.scheduler, trial)
-                 for point, trial in pending]
-        workers_eff = min(workers, len(tasks))
-        # Chunked dispatch: the default chunksize of 1 pays one IPC
-        # round-trip per trial; results are re-sorted afterwards, so
-        # ordering is unaffected.  maxtasksperchild recycles workers to
-        # bound memory growth across long sweeps.
-        chunksize = _chunk_size(len(tasks), workers_eff)
-        with multiprocessing.Pool(workers_eff,
-                                  maxtasksperchild=_MAX_TASKS_PER_CHILD
-                                  ) as pool:
-            for record in pool.imap_unordered(_pool_task, tasks,
-                                              chunksize=chunksize):
-                collect(record)
+            stats = SupervisionStats()
+            if tasks:
+                # A per-call worker set, closed with the sweep; a memo
+                # could never hit within one sweep, so it keeps none.
+                with WorkerFleet(min(workers, len(tasks)),
+                                 memo_capacity=0) as worker_set:
+                    worker_set.install(spec, spec_hash)
+                    stats = worker_set.execute(
+                        tasks, policy=spec.execution, spec_hash=spec_hash,
+                        on_records=collect_all, on_failure=collect_failure)
+            if not default:
+                supervision = stats.to_dict()
 
     records = sorted(done_records + fresh, key=record_sort_key)
-    return ExperimentResult(spec=spec, spec_hash=spec_hash, records=records,
-                            executed=len(fresh), skipped=len(done_records),
-                            failures=sorted(done_failures,
-                                            key=record_sort_key))
+    failures = sorted(done_failures + fresh_failures, key=record_sort_key)
+    return ExperimentResult(
+        spec=spec, spec_hash=spec_hash, records=records,
+        executed=len(fresh), skipped=len(done_records),
+        failures=failures, supervision=supervision, fleet=info)
 
 
 def plan_size(spec: ExperimentSpec) -> int:

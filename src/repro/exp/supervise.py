@@ -1,13 +1,12 @@
 """Supervised sweep execution: timeouts, retries, crash recovery.
 
-The plain runner (:func:`repro.exp.runner.run_experiment`) fans trials
-over a ``multiprocessing.Pool`` — fast, but fragile the way the paper's
-*environment* is not: a worker wedged in C code stalls the whole sweep
-forever, a SIGKILLed (or OOM-killed) worker poisons the pool, and a
-raising trial aborts the run with nothing in the ResultStore but lost
-stderr.  This module is the supervision layer underneath any long-lived
-experiment service: it owns its worker processes directly and makes the
-failure modes first-class, *recorded* events.
+:func:`run_supervised` is the one scheduling loop under every sweep
+that leaves the parent process: it hands tasks to worker processes (the
+warm workers of :mod:`repro.exp.fleet`, whether a persistent fleet or a
+per-call set), reads their replies, and makes the failure modes of the
+paper's *environment* — a worker wedged in C code, a SIGKILLed (or
+OOM-killed) worker, a raising trial — first-class, *recorded* events
+instead of a stalled sweep or lost stderr.
 
 Mechanisms, in the order they engage:
 
@@ -26,7 +25,7 @@ Mechanisms, in the order they engage:
 3. **Crashed-worker recovery** — each worker has its own pipe, so a
    dying worker is detected by EOF (or a liveness poll), its single
    in-flight task is resubmitted under the retry policy, and a fresh
-   worker takes its slot.  The sweep never hangs on a dead pool.
+   worker takes its slot.  The sweep never hangs on a dead worker.
 4. **Poison-trial quarantine** — a trial that exhausts
    ``max_attempts`` is disposed of per ``on_error``: ``raise`` aborts
    the sweep with a :class:`TrialExecutionError` carrying the remote
@@ -38,23 +37,16 @@ Mechanisms, in the order they engage:
 Determinism: supervision never touches seed derivation — every trial's
 seeds remain a pure function of ``(spec hash, point, trial)`` — so the
 set of *successful* records is byte-identical to an unfailed,
-unsupervised run, whatever crashed, hung, or retried along the way.
-
-The persistent worker fleet (:mod:`repro.exp.fleet`) builds on exactly
-these pieces — :class:`SupervisedTask`, :class:`SupervisionStats`,
-:func:`backoff_delay`, :func:`failure_records`, the worker alarm pattern
-and the dispatch-loop shape — swapping the per-sweep worker pool for
-long-lived warm processes.  A policy behaves identically under both.
+in-process run, whatever crashed, hung, or retried along the way.
 """
 
 from __future__ import annotations
 
-import os
+import pickle
 import random
-import signal
 import time
-import traceback
 import multiprocessing
+import multiprocessing.connection
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -119,84 +111,21 @@ class SupervisionStats:
 
 @dataclass
 class SupervisedTask:
-    """One unit of supervised work: a trial, or a point batch (one
-    ensemble stepped in lockstep / one fluid integration per point).
+    """One unit of supervised work: some trials of one sweep point.
 
-    ``trials`` holds one identity dict per covered trial (``id``, ``n``,
-    ``intensity``, ``scheduler``, ``trial``, ``engine_seed``,
-    ``fault_seed``) — the coordinates a quarantine record needs.
+    ``kind`` ``"trial"`` runs ``trials`` one by one through
+    :func:`~repro.exp.runner.run_trial`; ``"ensemble"`` / ``"fluid"``
+    run them as one point batch.  Trial identities (ids, seeds) are
+    derived from ``(spec hash, point, trial)`` only when a failure
+    record needs them.
     """
 
-    key: str
     kind: str  # "trial" | "ensemble" | "fluid"
-    payload: tuple
-    trials: list
+    point: object  # repro.exp.runner.SweepPoint
+    trials: tuple
     attempts: list = field(default_factory=list)
     #: Monotonic time before which the task may not be (re)dispatched.
     not_before: float = 0.0
-
-
-# -- Worker side ---------------------------------------------------------------
-
-
-def _run_payload(kind: str, payload: tuple) -> list:
-    from repro.exp.runner import (
-        _ensemble_pool_task,
-        _fluid_pool_task,
-        _pool_task,
-    )
-
-    if kind == "ensemble":
-        return _ensemble_pool_task(payload)
-    if kind == "fluid":
-        return _fluid_pool_task(payload)
-    return [_pool_task(payload)]
-
-
-def _worker_main(conn) -> None:
-    """Loop: receive ``(seq, kind, payload, timeout_s)``, reply with
-    ``(seq, status, detail, elapsed_s)`` where status is ``ok`` /
-    ``timeout`` / ``error``.
-
-    The alarm is armed per task and always disarmed before replying, so
-    a late signal can never leak into the next task.
-    """
-    if hasattr(signal, "SIGALRM"):
-        def _on_alarm(signum, frame):
-            raise TrialTimeout("wall-clock budget exceeded "
-                               "(worker-side alarm)")
-        signal.signal(signal.SIGALRM, _on_alarm)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        if message is None:
-            return
-        seq, kind, payload, timeout_s = message
-        start = time.perf_counter()
-        try:
-            if timeout_s and hasattr(signal, "setitimer"):
-                signal.setitimer(signal.ITIMER_REAL, timeout_s)
-            try:
-                records = _run_payload(kind, payload)
-            finally:
-                if hasattr(signal, "setitimer"):
-                    signal.setitimer(signal.ITIMER_REAL, 0.0)
-            reply = (seq, "ok", records, time.perf_counter() - start)
-        except TrialTimeout as exc:
-            reply = (seq, "timeout", str(exc), time.perf_counter() - start)
-        except BaseException as exc:
-            reply = (seq, "error",
-                     (type(exc).__name__, str(exc), traceback.format_exc()),
-                     time.perf_counter() - start)
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            return
-
-
-# -- Parent side ---------------------------------------------------------------
 
 
 def _mp_context():
@@ -206,57 +135,6 @@ def _mp_context():
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-class _Worker:
-    """One supervised worker process with a private duplex pipe."""
-
-    def __init__(self, ctx):
-        self.conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(target=_worker_main, args=(child_conn,),
-                                   daemon=True)
-        self.process.start()
-        child_conn.close()
-        self.seq = 0
-
-    def dispatch(self, task: SupervisedTask, timeout_s: "float | None") -> int:
-        self.seq += 1
-        self.conn.send((self.seq, task.kind, task.payload, timeout_s))
-        return self.seq
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        """Hard-stop: SIGKILL (when available), reap, close the pipe."""
-        try:
-            if self.process.is_alive():
-                if hasattr(self.process, "kill"):
-                    self.process.kill()
-                else:
-                    self.process.terminate()
-        except (OSError, ValueError):
-            pass
-        self.process.join(timeout=5.0)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-    def shutdown(self) -> None:
-        """Soft-stop: sentinel, short join, then escalate to kill."""
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=1.0)
-        if self.process.is_alive():
-            self.kill()
-        else:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
 
 
 def _jitter(task_key: str, attempt: int) -> float:
@@ -274,23 +152,38 @@ def backoff_delay(policy, task_key: str, attempt: int) -> float:
     return min(delay, MAX_BACKOFF_S)
 
 
+def _task_key(task: SupervisedTask, spec_hash: str) -> str:
+    """Backoff identity: the trial id of a trial task, the point label
+    of a point batch.  (Retries exist only under a non-default policy,
+    where a trial task holds exactly one trial.)"""
+    from repro.exp.runner import trial_id
+
+    if task.kind == "trial":
+        return trial_id(spec_hash, task.point, task.trials[0])
+    return task.point.key
+
+
 def failure_records(task: SupervisedTask, spec_hash: str) -> list[dict]:
     """Structured ``trial-failure`` records for a quarantined task.
 
     One record per covered trial (an ensemble batch quarantines every
     trial of its point), each carrying the shared attempt history.
     """
+    from repro.exp.runner import trial_id, trial_seeds
+
+    point = task.point
     last = task.attempts[-1] if task.attempts else {}
     records = []
-    for identity in task.trials:
+    for trial in task.trials:
+        engine_seed, fault_seed = trial_seeds(spec_hash, point, trial)
         record = {
             "kind": "trial-failure",
-            "id": identity["id"],
-            "n": identity["n"],
-            "intensity": identity.get("intensity"),
-            "trial": identity["trial"],
-            "engine_seed": identity["engine_seed"],
-            "fault_seed": identity["fault_seed"],
+            "id": trial_id(spec_hash, point, trial),
+            "n": point.n,
+            "intensity": point.intensity,
+            "trial": trial,
+            "engine_seed": engine_seed,
+            "fault_seed": fault_seed,
             "spec_hash": spec_hash,
             "error_type": last.get("error_type"),
             "message": last.get("message"),
@@ -299,30 +192,46 @@ def failure_records(task: SupervisedTask, spec_hash: str) -> list[dict]:
                 {k: v for k, v in attempt.items() if k != "traceback"}
                 for attempt in task.attempts],
         }
-        if identity.get("scheduler") is not None:
-            record["scheduler"] = identity["scheduler"]
+        if point.scheduler is not None:
+            record["scheduler"] = point.scheduler
         records.append(record)
     return records
 
 
-def run_supervised(tasks, *, policy, spec_hash: str, workers: int = 1,
-                   on_records=None, on_failure=None,
+def run_supervised(tasks, *, policy, spec_hash: str, workers: list,
+                   respawn, on_records=None, on_failure=None,
                    poll_s: float = 0.05) -> SupervisionStats:
-    """Execute ``tasks`` under ``policy`` across supervised workers.
+    """Execute ``tasks`` under ``policy`` across ``workers``.
 
-    ``on_records(list_of_records)`` fires once per successful task;
-    ``on_failure(record)`` fires once per quarantined trial.  Returns
-    the supervision counters.  Raises :class:`TrialExecutionError` on
-    the first exhausted task when ``policy.on_error == "raise"``.
+    ``workers`` is the list of worker handles to dispatch to
+    (:class:`repro.exp.fleet._FleetWorker`); ``respawn(worker)``
+    replaces a dead or killed handle in that list and returns the fresh
+    one.  ``on_records(list_of_records)`` fires once per successful
+    task; ``on_failure(record)`` fires once per quarantined trial.
+    Returns the supervision counters.  Raises
+    :class:`TrialExecutionError` on the first exhausted task when
+    ``policy.on_error == "raise"``; on any abort, every worker with a
+    task in flight is respawned, so none with an unread reply stays in
+    ``workers``.
     """
     stats = SupervisionStats(tasks=len(tasks))
     if not tasks:
         return stats
-    ctx = _mp_context()
     ready: deque = deque(tasks)
     waiting: list = []  # backoff-delayed tasks, any order
-    pool = [_Worker(ctx) for _ in range(max(1, min(workers, len(tasks))))]
     busy: dict = {}  # worker -> (task, seq, started, deadline | None)
+
+    def dispatch(worker) -> None:
+        """Hand ``worker`` the next ready task, if there is one."""
+        if not ready:
+            return
+        task = ready.popleft()
+        now = time.monotonic()
+        deadline = None
+        if policy.timeout_s:
+            deadline = now + policy.timeout_s + _grace_s(policy.timeout_s)
+        seq = worker.dispatch(task, spec_hash, policy.timeout_s)
+        busy[worker] = (task, seq, now, deadline)
 
     def finalize_failure(task: SupervisedTask) -> None:
         if policy.on_error == "raise":
@@ -335,48 +244,46 @@ def run_supervised(tasks, *, policy, spec_hash: str, workers: int = 1,
             for record in failure_records(task, spec_hash):
                 on_failure(record)
 
-    def note_failed_attempt(task: SupervisedTask, outcome: dict) -> None:
-        task.attempts.append(outcome)
+    def failed_attempt(task: SupervisedTask, outcome: str, error_type: str,
+                       message: str, elapsed: float,
+                       trace: "str | None" = None) -> None:
+        attempt = {"attempt": len(task.attempts) + 1, "outcome": outcome,
+                   "error_type": error_type, "message": message}
+        if trace is not None:
+            attempt["traceback"] = trace
+        attempt["elapsed_s"] = round(elapsed, 3)
+        task.attempts.append(attempt)
         stats.attempts += 1
         if len(task.attempts) >= policy.max_attempts:
             finalize_failure(task)
             return
         stats.retries += 1
         task.not_before = (time.monotonic()
-                           + backoff_delay(policy, task.key,
+                           + backoff_delay(policy, _task_key(task, spec_hash),
                                            len(task.attempts)))
         waiting.append(task)
 
-    def respawn(worker: _Worker) -> _Worker:
-        index = pool.index(worker)
-        worker.kill()
-        fresh = _Worker(ctx)
-        pool[index] = fresh
-        return fresh
+    def crashed(worker, task: SupervisedTask, started: float) -> None:
+        respawn(worker)
+        stats.crashes += 1
+        failed_attempt(task, "crashed", "WorkerCrashed",
+                       f"worker process died (exitcode "
+                       f"{worker.process.exitcode})",
+                       time.monotonic() - started)
 
     try:
         while ready or waiting or busy:
             now = time.monotonic()
             # Promote backoff-expired tasks into the ready queue.
-            still_waiting = [t for t in waiting if t.not_before > now]
-            for task in waiting:
-                if task.not_before <= now:
-                    ready.append(task)
-            waiting[:] = still_waiting
+            if waiting:
+                ready.extend(t for t in waiting if t.not_before <= now)
+                waiting[:] = [t for t in waiting if t.not_before > now]
 
-            # Dispatch to idle workers.
-            for worker in pool:
+            for worker in workers:
                 if not ready:
                     break
-                if worker in busy:
-                    continue
-                task = ready.popleft()
-                deadline = None
-                if policy.timeout_s:
-                    deadline = now + policy.timeout_s + _grace_s(
-                        policy.timeout_s)
-                seq = worker.dispatch(task, policy.timeout_s)
-                busy[worker] = (task, seq, now, deadline)
+                if worker not in busy:
+                    dispatch(worker)
 
             if not busy:
                 if waiting:
@@ -385,60 +292,46 @@ def run_supervised(tasks, *, policy, spec_hash: str, workers: int = 1,
                         time.sleep(min(pause, poll_s * 4))
                 continue
 
-            # Wait for any result, bounded so deadlines stay responsive.
+            # Wait for any reply, bounded so deadlines stay responsive.
             conns = {worker.conn: worker for worker in busy}
-            readable = multiprocessing.connection.wait(
-                list(conns), timeout=poll_s)
-
-            for conn in readable:
+            for conn in multiprocessing.connection.wait(list(conns),
+                                                        timeout=poll_s):
                 worker = conns[conn]
                 task, seq, started, _ = busy[worker]
                 try:
-                    reply = conn.recv()
+                    reply_seq, status, detail, elapsed = worker.recv()
                 except (EOFError, OSError):
                     # Worker died mid-task (SIGKILL, OOM, hard crash).
                     del busy[worker]
-                    respawn(worker)
-                    stats.crashes += 1
-                    note_failed_attempt(task, {
-                        "attempt": len(task.attempts) + 1,
-                        "outcome": "crashed",
-                        "error_type": "WorkerCrashed",
-                        "message": (f"worker process died "
-                                    f"(exitcode {worker.process.exitcode})"),
-                        "elapsed_s": round(time.monotonic() - started, 3),
-                    })
+                    crashed(worker, task, started)
                     continue
-                del busy[worker]
-                reply_seq, status, detail, elapsed = reply
                 if reply_seq != seq:
-                    # A reply from a task we already gave up on; the
-                    # task was resubmitted elsewhere — drop it.
+                    # A reply to a dispatch abandoned earlier; this
+                    # worker's current task is still in flight.
                     continue
-                if status == "ok":
+                # Re-dispatch before handling the reply, so the worker
+                # computes while the parent stores these records.
+                del busy[worker]
+                dispatch(worker)
+                if status in ("ok", "ok-shm"):
                     stats.attempts += 1
                     if on_records is not None:
-                        on_records(detail)
+                        on_records(pickle.loads(detail)
+                                   if status == "ok-shm" else detail)
                 elif status == "timeout":
                     stats.timeouts += 1
-                    note_failed_attempt(task, {
-                        "attempt": len(task.attempts) + 1,
-                        "outcome": "timeout",
-                        "error_type": "TrialTimeout",
-                        "message": detail,
-                        "elapsed_s": round(elapsed, 3),
-                    })
+                    failed_attempt(task, "timeout", "TrialTimeout", detail,
+                                   elapsed)
                 else:
-                    error_type, message, trace = detail
+                    error_type, message, trace, trial = detail
+                    if trial is not None:
+                        # Name the trial of a chunk that raised.  Chunks
+                        # exist only under the default policy (one
+                        # attempt, raise), so no retry needs the rest.
+                        task.trials = (trial,)
                     stats.errors += 1
-                    note_failed_attempt(task, {
-                        "attempt": len(task.attempts) + 1,
-                        "outcome": "error",
-                        "error_type": error_type,
-                        "message": message,
-                        "traceback": trace,
-                        "elapsed_s": round(elapsed, 3),
-                    })
+                    failed_attempt(task, "error", error_type, message,
+                                   elapsed, trace)
 
             # Deadline and liveness sweep over the remaining busy workers.
             now = time.monotonic()
@@ -448,73 +341,17 @@ def run_supervised(tasks, *, policy, spec_hash: str, workers: int = 1,
                     del busy[worker]
                     respawn(worker)
                     stats.timeouts += 1
-                    note_failed_attempt(task, {
-                        "attempt": len(task.attempts) + 1,
-                        "outcome": "timeout",
-                        "error_type": "TrialTimeout",
-                        "message": ("wall-clock budget exceeded; worker "
-                                    "killed by supervisor deadline"),
-                        "elapsed_s": round(now - started, 3),
-                    })
+                    failed_attempt(task, "timeout", "TrialTimeout",
+                                   "wall-clock budget exceeded; worker "
+                                   "killed by supervisor deadline",
+                                   now - started)
                 elif not worker.alive():
                     del busy[worker]
-                    exitcode = worker.process.exitcode
-                    respawn(worker)
-                    stats.crashes += 1
-                    note_failed_attempt(task, {
-                        "attempt": len(task.attempts) + 1,
-                        "outcome": "crashed",
-                        "error_type": "WorkerCrashed",
-                        "message": f"worker process died "
-                                   f"(exitcode {exitcode})",
-                        "elapsed_s": round(now - started, 3),
-                    })
-    finally:
-        for worker in pool:
-            worker.shutdown()
+                    crashed(worker, task, started)
+    except BaseException:
+        # A worker with an unread reply must never serve another task,
+        # or a later sweep could read a stale result.
+        for worker in list(busy):
+            respawn(worker)
+        raise
     return stats
-
-
-def build_trial_tasks(spec, pending, spec_hash: str) -> list[SupervisedTask]:
-    """One :class:`SupervisedTask` per pending ``(point, trial)`` pair."""
-    from repro.exp.runner import trial_id, trial_seeds
-
-    spec_dict = spec.to_dict()
-    tasks = []
-    for point, trial in pending:
-        tid = trial_id(spec_hash, point, trial)
-        engine_seed, fault_seed = trial_seeds(spec_hash, point, trial)
-        tasks.append(SupervisedTask(
-            key=tid, kind="trial",
-            payload=(spec_dict, spec_hash, point.n, point.intensity,
-                     point.scheduler, trial),
-            trials=[{"id": tid, "n": point.n, "intensity": point.intensity,
-                     "scheduler": point.scheduler, "trial": trial,
-                     "engine_seed": engine_seed,
-                     "fault_seed": fault_seed}]))
-    return tasks
-
-
-def build_ensemble_tasks(spec, groups, spec_hash: str) -> list[SupervisedTask]:
-    """One :class:`SupervisedTask` per sweep point's batch (an ensemble
-    lockstep run, or a fluid integration when ``spec.engine == "fluid"``)."""
-    from repro.exp.runner import trial_id, trial_seeds
-
-    kind = "fluid" if spec.engine == "fluid" else "ensemble"
-    spec_dict = spec.to_dict()
-    tasks = []
-    for point, trial_list in groups:
-        trials = []
-        for trial in trial_list:
-            engine_seed, fault_seed = trial_seeds(spec_hash, point, trial)
-            trials.append({"id": trial_id(spec_hash, point, trial),
-                           "n": point.n, "intensity": point.intensity,
-                           "scheduler": point.scheduler, "trial": trial,
-                           "engine_seed": engine_seed,
-                           "fault_seed": fault_seed})
-        tasks.append(SupervisedTask(
-            key=point.key, kind=kind,
-            payload=(spec_dict, spec_hash, point.n, point.intensity,
-                     point.scheduler, tuple(trial_list)),
-            trials=trials))
-    return tasks

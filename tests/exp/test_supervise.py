@@ -19,10 +19,20 @@ This file is also the CI supervision smoke job (see
 """
 
 import json
+import multiprocessing
+from multiprocessing import shared_memory
 
 import pytest
 
-from repro.exp.runner import run_experiment, run_trial, sweep_points
+from repro.exp.fleet import _FleetWorker
+from repro.exp.runner import (
+    SweepPoint,
+    _chunk_size,
+    run_experiment,
+    run_trial,
+    sweep_points,
+    trial_id,
+)
 from repro.exp.spec import (
     ExecutionPolicy,
     ExperimentSpec,
@@ -32,9 +42,10 @@ from repro.exp.spec import (
 from repro.exp.store import ResultStore
 from repro.exp.supervise import (
     MAX_BACKOFF_S,
+    SupervisedTask,
     TrialExecutionError,
     backoff_delay,
-    build_trial_tasks,
+    run_supervised,
 )
 from repro.protocols import faulty
 
@@ -351,3 +362,98 @@ class TestSmokeSweep:
         assert stats["timeouts"] >= 2
         assert stats["retries"] >= 2
         assert stats["quarantined"] == 1
+
+
+class TestDefaultPolicyChunks:
+    """Under the default policy with ``workers > 1``, trial tasks carry
+    chunks of one point's trials and errors surface as
+    :class:`TrialExecutionError`."""
+
+    def test_error_mid_chunk_names_the_raising_trial(self, monkeypatch):
+        calls = []
+
+        def fire_on_second_call(mode):
+            # Counted per worker process (each forked worker starts
+            # from the empty list): the first trial of the worker's
+            # first n=9 chunk behaves, the second one raises.
+            calls.append(mode)
+            return len(calls) == 2
+
+        monkeypatch.setattr(faulty, "_fire_once", fire_on_second_call)
+        spec = make_spec({**HEALTHY, **poison("flaky")},
+                         policy=ExecutionPolicy(), trials=16)
+        size = _chunk_size(2 * spec.trials, 2)
+        assert size == 4
+        with pytest.raises(TrialExecutionError) as caught:
+            run_experiment(spec, workers=2)
+        failure = caught.value.failure
+        assert failure["n"] == 9
+        assert failure["error_type"] == "RuntimeError"
+        assert failure["trial"] % size == 1
+        assert failure["id"] == trial_id(spec.content_hash(), SweepPoint(9),
+                                         failure["trial"])
+
+
+class TestPerCallWorkerSet:
+    def test_no_worker_or_ring_outlives_the_sweep(self, monkeypatch):
+        spawned = []
+        init = _FleetWorker.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            spawned.append((self.process,
+                            None if self.ring is None else self.ring.name))
+
+        monkeypatch.setattr(_FleetWorker, "__init__", spy)
+        healthy = make_spec(HEALTHY, policy=ExecutionPolicy(), trials=4)
+        assert len(run_experiment(healthy, workers=2).records) == 4
+        failing = make_spec({**HEALTHY, **poison("boom")},
+                            policy=ExecutionPolicy(), trials=4)
+        with pytest.raises(TrialExecutionError, match="boom"):
+            run_experiment(failing, workers=2)
+        assert len(spawned) >= 4
+        for process, ring in spawned:
+            assert not process.is_alive()
+            if ring is not None:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=ring)
+
+
+class _StaleFirstWorker:
+    """Worker handle that answers every dispatch with a stale reply (the
+    previous sequence number) before the real one."""
+
+    def __init__(self):
+        self.conn, self._child = multiprocessing.Pipe()
+        self.seq = 0
+
+    def dispatch(self, task, spec_hash, timeout_s):
+        self.seq += 1
+        self._child.send((self.seq - 1, "ok", [{"stale": True}], 0.0))
+        self._child.send((self.seq, "ok",
+                          [{"trial": trial} for trial in task.trials], 0.0))
+        return self.seq
+
+    def recv(self):
+        return self.conn.recv()
+
+    def alive(self):
+        return True
+
+
+class TestStaleReply:
+    def test_stale_reply_keeps_the_task_in_flight(self):
+        worker = _StaleFirstWorker()
+        tasks = [SupervisedTask("trial", SweepPoint(8), (trial,))
+                 for trial in (0, 1)]
+        delivered = []
+
+        def respawn(worker):
+            raise AssertionError("no worker died")
+
+        stats = run_supervised(tasks, policy=ExecutionPolicy(),
+                               spec_hash="stale", workers=[worker],
+                               respawn=respawn,
+                               on_records=delivered.append)
+        assert delivered == [[{"trial": 0}], [{"trial": 1}]]
+        assert stats.attempts == 2

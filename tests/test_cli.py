@@ -244,25 +244,35 @@ class TestExpRunCommand:
     def test_fleet_flag_matches_serial_output(self, capsys):
         import json
 
+        from repro.exp.fleet import shutdown_fleet
+
         assert main(["exp", "run", "--json"] + EXP_FLAGS) == 0
         serial = json.loads(capsys.readouterr().out)
-        assert main(["exp", "run", "--json", "--fleet", "--workers", "2"]
-                    + EXP_FLAGS) == 0
+        try:
+            assert main(["exp", "run", "--json", "--keep-warm",
+                         "--workers", "2"] + EXP_FLAGS) == 0
+        finally:
+            shutdown_fleet()
         fleet = json.loads(capsys.readouterr().out)
         assert fleet["fleet"]["workers"] == 2
         assert fleet["points"] == serial["points"]
 
     def test_fleet_store_resume(self, tmp_path, capsys):
-        store = str(tmp_path / "sweep.jsonl")
-        assert main(["exp", "run", "--store", store, "--fleet",
-                     "--workers", "2"] + EXP_FLAGS) == 0
-        first = capsys.readouterr().out
-        assert "(4 executed, 0 resumed)" in first
-        assert "fleet    : 2 warm workers" in first
+        from repro.exp.fleet import shutdown_fleet
 
-        assert main(["exp", "run", "--store", store, "--fleet",
-                     "--workers", "2"] + EXP_FLAGS) == 0
-        assert "(0 executed, 4 resumed)" in capsys.readouterr().out
+        store = str(tmp_path / "sweep.jsonl")
+        try:
+            assert main(["exp", "run", "--store", store, "--keep-warm",
+                         "--workers", "2"] + EXP_FLAGS) == 0
+            first = capsys.readouterr().out
+            assert "(4 executed, 0 resumed)" in first
+            assert "fleet    : 2 warm workers" in first
+
+            assert main(["exp", "run", "--store", store, "--keep-warm",
+                         "--workers", "2"] + EXP_FLAGS) == 0
+            assert "(0 executed, 4 resumed)" in capsys.readouterr().out
+        finally:
+            shutdown_fleet()
 
     def test_missing_protocol_is_clean_error(self, capsys):
         code = main(["exp", "run", "--ns", "6"])
