@@ -21,6 +21,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 
 from repro.core.protocol import State, Symbol
+from repro.sim.base import RunLoop
 from repro.util.rng import resolve_rng
 
 
@@ -80,7 +81,7 @@ def annihilation_majority() -> AnnihilationMajority:
     return AnnihilationMajority()
 
 
-class DynamicSimulation:
+class DynamicSimulation(RunLoop):
     """Uniform random pairing over a population of changing size.
 
     The run ends (``exhausted``) when fewer than two agents remain or no
@@ -137,23 +138,6 @@ class DynamicSimulation:
         if len(self.states) > self.max_population:
             raise RuntimeError("population exceeded max_population")
         return True
-
-    def run(self, steps: int) -> None:
-        for _ in range(steps):
-            self.step()
-
-    def run_until(self, condition, max_steps: int, check_every: int = 1) -> bool:
-        if condition(self):
-            return True
-        remaining = max_steps
-        while remaining > 0:
-            chunk = min(check_every, remaining)
-            for _ in range(chunk):
-                self.step()
-            remaining -= chunk
-            if condition(self):
-                return True
-        return False
 
     def surviving_outputs(self) -> list:
         return [self.protocol.output(s) for s in self.states]

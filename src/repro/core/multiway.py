@@ -19,6 +19,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 
 from repro.core.protocol import PopulationProtocol, State, Symbol
+from repro.sim.base import RunLoop
 from repro.util.rng import resolve_rng
 
 
@@ -105,7 +106,7 @@ class GroupCountToK(MultiwayProtocol):
         return (total,) + tuple([0] * (self.arity - 1))
 
 
-class MultiwaySimulation:
+class MultiwaySimulation(RunLoop):
     """Uniform random sampling of ordered ``arity``-tuples of agents."""
 
     def __init__(
@@ -142,23 +143,6 @@ class MultiwaySimulation:
         for agent, state in zip(group, after):
             self.states[agent] = state
         return True
-
-    def run(self, steps: int) -> None:
-        for _ in range(steps):
-            self.step()
-
-    def run_until(self, condition, max_steps: int, check_every: int = 1) -> bool:
-        if condition(self):
-            return True
-        remaining = max_steps
-        while remaining > 0:
-            chunk = min(check_every, remaining)
-            for _ in range(chunk):
-                self.step()
-            remaining -= chunk
-            if condition(self):
-                return True
-        return False
 
     def outputs(self) -> tuple[Symbol, ...]:
         return tuple(self.protocol.output(s) for s in self.states)

@@ -80,7 +80,8 @@ def agent_span(pv, qv, sarr, agent_out, out_hist,
     return lc, lo
 
 
-def multiset_span(pv, qv, counts, order, olen, tinit, tresp, reactive, k):
+def multiset_span(pv, qv, counts, order, olen, tinit, tresp, reactive,
+                  outchange, k):
     """Apply ``len(pv)`` interactions to the multiset state in place.
 
     Replicates ``BatchedMultisetSimulation._apply_pair`` exactly: the
@@ -88,10 +89,12 @@ def multiset_span(pv, qv, counts, order, olen, tinit, tresp, reactive, k):
     responder exclude-shift, and the reference decrement/increment
     order with its remove-on-zero / append-on-first bookkeeping (the
     ``order`` array is the engine's ``_order`` list).  Returns
-    ``(olen, last_change)`` — the new live-state count and the 1-based
-    offset of the last reactive step (-1 if none).
+    ``(olen, last_change, last_output_change)`` — the new live-state
+    count and the 1-based offsets of the last reactive step and of the
+    last output-multiset change (-1 if none).
     """
     lc = -1
+    lo = -1
     for i in range(pv.shape[0]):
         p_val = pv[i]
         q_val = qv[i]
@@ -117,6 +120,8 @@ def multiset_span(pv, qv, counts, order, olen, tinit, tresp, reactive, k):
         p2 = tinit[flat]
         q2 = tresp[flat]
         lc = i + 1
+        if outchange[flat]:
+            lo = i + 1
         c = counts[pid] - 1
         counts[pid] = c
         if c == 0:
@@ -143,7 +148,7 @@ def multiset_span(pv, qv, counts, order, olen, tinit, tresp, reactive, k):
             order[olen] = q2
             olen += 1
         counts[q2] += 1
-    return olen, lc
+    return olen, lc, lo
 
 
 def ensemble_lockstep_span(ij, c, cum, hist, track,
@@ -226,7 +231,7 @@ def exercise(spans) -> None:
         np.zeros(1, dtype=bool), np.zeros(1, dtype=np.int64), 1)
     spans["batched-multiset"](
         z1, z1, np.array([2], dtype=np.int64), np.zeros(1, dtype=np.int64),
-        1, zk, zk, np.zeros(1, dtype=bool), 1)
+        1, zk, zk, np.zeros(1, dtype=bool), np.zeros(1, dtype=bool), 1)
     spans["ensemble"](
         np.zeros((1, 2, 1), dtype=np.int64),
         np.array([[2]], dtype=np.int64), np.array([[2]], dtype=np.int64),
@@ -295,9 +300,10 @@ class MultisetSpanKernels:
         olen = len(sim._order)
         order[:olen] = sim._order
         base = sim.interactions
-        olen, lc = self._span(pv, qv, counts, order, olen,
-                              sim._ktinit, sim._ktresp,
-                              sim._compiled.reactive_mask, k)
+        olen, lc, lo = self._span(pv, qv, counts, order, olen,
+                                  sim._ktinit, sim._ktresp,
+                                  sim._compiled.reactive_mask,
+                                  sim._koutchange, k)
         sim.interactions = base + count
         if lc >= 0:
             sim.last_change = base + lc
@@ -305,6 +311,8 @@ class MultisetSpanKernels:
             sim._order = order[:olen].tolist()
             sim._dirty_counts = True
             sim._dirty_struct = True
+        if lo >= 0:
+            sim.last_output_change = base + lo
 
 
 class EnsembleSpanKernels:

@@ -44,6 +44,7 @@ def multiset_scalar_chunk(sim, count: int) -> None:
     counts = sim._counts
     order = sim._order
     pairs = sim._compiled.pair_table
+    outchange = sim._outchange
     k = sim._compiled.size
     base = sim.interactions
     idx = 0
@@ -63,7 +64,8 @@ def multiset_scalar_chunk(sim, count: int) -> None:
             acc += counts[qid]
             if q_val < acc:
                 break
-        result = pairs[pid * k + qid]
+        flat = pid * k + qid
+        result = pairs[flat]
         if result is None:
             continue
         reactive += 1
@@ -87,6 +89,8 @@ def multiset_scalar_chunk(sim, count: int) -> None:
             struct = True
         counts[q2] += 1
         sim.last_change = base + idx
+        if outchange[flat]:
+            sim.last_output_change = base + idx
     sim.interactions = base + idx
     if reactive:
         sim._dirty_counts = True
@@ -144,7 +148,6 @@ def multiset_vector_round(sim, remaining: int) -> None:
     qid = order[int(qpos_c[m])]
     result = sim._compiled.pair_table[pid * sim._compiled.size + qid]
     sim._apply_transition(pid, qid, result)
-    sim.last_change = sim.interactions
     sim._gap = 0.75 * gap + 0.25 * (j0 + 1)
 
 

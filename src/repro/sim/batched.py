@@ -83,6 +83,7 @@ import numpy as np
 from repro.core.configuration import AgentConfiguration
 from repro.core.protocol import PopulationProtocol, State, Symbol
 from repro.sim.backends import select_kernels
+from repro.sim.base import AgentArrayEngine, Engine
 from repro.sim.backends.numpy_backend import (  # noqa: F401 (back-compat)
     _GAP_CAP,
     _GAP_VECTOR_THRESHOLD,
@@ -209,15 +210,16 @@ def _make_stream(rng, n: int) -> "_PairDrawStream | None":
     return None
 
 
-class BatchedMultisetSimulation:
+class BatchedMultisetSimulation(Engine):
     """Batched twin of :class:`~repro.sim.multiset_engine.MultisetSimulation`.
 
     Same constructor shape (minus ``faults``/``monitors``), same
     inspection API, and — for the same seed — the same
-    ``(multiset, interactions, last_change)`` trajectory, verified by the
-    fingerprint tests.  Pass a pre-built ``compiled`` table (or rely on
-    the process-level memo in :func:`~repro.sim.compiled.compile_protocol`)
-    to amortize compilation across many simulations.
+    ``(multiset, interactions, last_change, last_output_change)``
+    trajectory, verified by the fingerprint tests.  Pass a pre-built
+    ``compiled`` table (or rely on the process-level memo in
+    :func:`~repro.sim.compiled.compile_protocol`) to amortize compilation
+    across many simulations.
     """
 
     def __init__(
@@ -271,6 +273,11 @@ class BatchedMultisetSimulation:
         self.rng = resolve_rng(seed)
         self.interactions = 0
         self.last_change = 0
+        #: Interaction count at the last output-multiset change (the
+        #: reference engine's quiescence clock).
+        self.last_output_change = 0
+        #: Per flat pair: does its transition move the output multiset?
+        self._outchange, self._koutchange = compiled.output_change_table()
         self.dead = 0  # API parity: this engine never crashes agents
         self._stream = _make_stream(self.rng, self.n)
         #: Effective kernel backend name (after any fallback) and the
@@ -321,14 +328,10 @@ class BatchedMultisetSimulation:
             outputs[out] = outputs.get(out, 0) + self._counts[sid]
         return outputs
 
-    def unanimous_output(self) -> "Symbol | None":
-        outputs = self.output_counts()
-        if len(outputs) == 1:
-            return next(iter(outputs))
-        return None
-
-    def unanimous_surviving_output(self) -> "Symbol | None":
-        return self.unanimous_output()
+    def attach_monitor(self, monitor) -> None:
+        raise ValueError(
+            "the batched multiset engine takes no monitors; attach them "
+            "to MultisetSimulation")
 
     # -- Stepping --------------------------------------------------------------
 
@@ -369,10 +372,13 @@ class BatchedMultisetSimulation:
         if result is None:
             return False
         self._apply_transition(pid, qid, result)
-        self.last_change = self.interactions
         return True
 
     def _apply_transition(self, pid: int, qid: int, result) -> None:
+        # Callers position self.interactions at the transition's moment.
+        self.last_change = self.interactions
+        if self._outchange[pid * self._compiled.size + qid]:
+            self.last_output_change = self.interactions
         # Reference op order: decrement p, decrement q, then increments.
         counts = self._counts
         order = self._order
@@ -412,24 +418,6 @@ class BatchedMultisetSimulation:
         while self.interactions < target:
             kernels.chunk(self, target - self.interactions)
 
-    def run_until(self, condition, max_steps: int, check_every: int = 1) -> bool:
-        """Run until ``condition(self)`` holds or ``max_steps`` pass.
-
-        Checked at the same interaction counts as the reference engine's
-        ``run_until``, so stopping decisions agree trajectory-for-
-        trajectory.
-        """
-        if condition(self):
-            return True
-        remaining = max_steps
-        while remaining > 0:
-            chunk = min(check_every, remaining)
-            self.run(chunk)
-            remaining -= chunk
-            if condition(self):
-                return True
-        return False
-
     # -- Kernel support --------------------------------------------------------
 
     def _refresh_cum(self) -> None:
@@ -455,7 +443,7 @@ class BatchedMultisetSimulation:
         self._dirty_struct = False
 
 
-class BatchedSimulation:
+class BatchedSimulation(AgentArrayEngine):
     """Batched twin of :class:`~repro.sim.engine.Simulation` under uniform
     random pairing on the complete graph.
 
@@ -527,7 +515,6 @@ class BatchedSimulation:
         self._frozen: dict[int, int] = {}
         self._dead: "int | None" = None
         self._n0 = n
-        self._faults = faults
         if faults is not None:
             ka = k + 1
             pairs_aug: list = [None] * (ka * ka)
@@ -544,7 +531,6 @@ class BatchedSimulation:
             self._react_flat = react_aug
             self._row_any = row_any_aug
             self._dead = k
-            faults.bind(self)
         self._stream = _make_stream(self.rng, n)
         #: Effective kernel backend name (after any fallback) and the
         #: kernel object the run loops drive.
@@ -566,13 +552,8 @@ class BatchedSimulation:
                 tresp_aug.reshape(ka, ka)[:k, :k] = tresp.reshape(k, k)
                 self._ktinit, self._ktresp = tinit_aug, tresp_aug
         self._gap = 2.0
-        #: Attached runtime monitors (see :meth:`attach_monitor`).
-        self.monitors: list = []
-        #: Reproduction tuple embedded into MonitorViolations.
-        self.monitor_context: "dict | None" = None
         self._containment_masks: dict = {}
-        for monitor in monitors:
-            self.attach_monitor(monitor)
+        self._observe(faults, monitors)
 
     def attach_monitor(self, monitor) -> None:
         """Attach a conservation, containment, or flicker monitor.
@@ -619,16 +600,6 @@ class BatchedSimulation:
         return len(self._ids)
 
     @property
-    def n_alive(self) -> int:
-        """Number of agents that have not crashed."""
-        return len(self._ids) - len(self.crashed)
-
-    @property
-    def faults(self):
-        """The attached :class:`~repro.sim.faults.FaultPlan`, or None."""
-        return self._faults
-
-    @property
     def states(self) -> list:
         """Current agent states (a fresh list; read-only view).
 
@@ -648,6 +619,9 @@ class BatchedSimulation:
         """The compiled tables driving this simulation."""
         return self._compiled
 
+    def _state(self, agent: int) -> State:
+        return self._compiled.states[self._ids[agent]]
+
     def outputs(self) -> tuple:
         symbols = self._compiled.output_symbols
         return tuple(symbols[oid] for oid in self._agent_out)
@@ -662,36 +636,6 @@ class BatchedSimulation:
         symbols = self._compiled.output_symbols
         return {symbols[oid]: count
                 for oid, count in enumerate(self._out_hist) if count}
-
-    def unanimous_output(self) -> "Symbol | None":
-        n = len(self._ids)
-        for oid, count in enumerate(self._out_hist):
-            if count == n:
-                return self._compiled.output_symbols[oid]
-        return None
-
-    def surviving_outputs(self) -> list:
-        if not self.crashed:
-            return list(self.outputs())
-        symbols = self._compiled.output_symbols
-        crashed = self.crashed
-        return [symbols[oid] for a, oid in enumerate(self._agent_out)
-                if a not in crashed]
-
-    def unanimous_surviving_output(self) -> "Symbol | None":
-        if not self.crashed:
-            return self.unanimous_output()
-        outs = self.surviving_outputs()
-        first = outs[0]
-        if all(out == first for out in outs[1:]):
-            return first
-        return None
-
-    def alive_agents(self) -> list[int]:
-        """Ids of the live agents, in ascending order."""
-        if not self.crashed:
-            return list(range(len(self._ids)))
-        return [a for a in range(len(self._ids)) if a not in self.crashed]
 
     # -- Fault primitives ------------------------------------------------------
 
@@ -734,43 +678,6 @@ class BatchedSimulation:
         self._ids[agent] = self._dead
         self._sarr[agent] = self._dead
 
-    def crash_random(self, count: int = 1, *, rng=None) -> list[int]:
-        """Crash ``count`` uniformly chosen live agents; all-or-nothing.
-
-        Identical validation and RNG consumption to
-        :meth:`repro.sim.engine.Simulation.crash_random`, so a plan's
-        crash draws replay bit-identically across the two engines.
-        """
-        if count < 0:
-            raise ValueError("crash count must be non-negative")
-        if count > self.n_alive - 2:
-            raise RuntimeError(
-                f"cannot crash {count} of {self.n_alive} live agents: "
-                "a crash must leave at least two live agents")
-        rng = self._fault_rng(rng)
-        alive = self.alive_agents()
-        victims = []
-        for _ in range(count):
-            victim = alive.pop(rng.randrange(len(alive)))
-            self.crash(victim)
-            victims.append(victim)
-        return victims
-
-    def crash_matching(self, match, count: int = 1, *, rng=None) -> int:
-        """Crash up to ``count`` live agents whose state satisfies
-        ``match``; best-effort, reference-identical RNG consumption."""
-        rng = self._fault_rng(rng)
-        state_of = self._compiled.states
-        ids = self._ids
-        candidates = [a for a in self.alive_agents()
-                      if match(state_of[ids[a]])]
-        applied = 0
-        while candidates and applied < count and self.n_alive > 2:
-            victim = candidates.pop(rng.randrange(len(candidates)))
-            self.crash(victim)
-            applied += 1
-        return applied
-
     def set_state(self, agent: int, state: State) -> bool:
         """Overwrite one agent's state, keeping output bookkeeping intact.
 
@@ -802,16 +709,6 @@ class BatchedSimulation:
             self._agent_out[agent] = out
             self.last_output_change = self.interactions
         return True
-
-    def corrupt_random(self, corruptor, *, rng=None) -> bool:
-        """Rewrite a uniformly random live agent's state via
-        ``corruptor(state, protocol, rng)``; returns True iff it changed."""
-        rng = self._fault_rng(rng)
-        alive = self.alive_agents()
-        agent = alive[rng.randrange(len(alive))]
-        state_of = self._compiled.states
-        return self.set_state(
-            agent, corruptor(state_of[self._ids[agent]], self.protocol, rng))
 
     # -- Stepping --------------------------------------------------------------
 
@@ -1008,19 +905,6 @@ class BatchedSimulation:
                 cache[1] = self.last_change
             else:  # flicker: armed-threshold check is O(1) already
                 monitor.after_step(self, True)
-
-    def run_until(self, condition, max_steps: int, check_every: int = 1) -> bool:
-        """Run until ``condition(self)`` holds or ``max_steps`` pass."""
-        if condition(self):
-            return True
-        remaining = max_steps
-        while remaining > 0:
-            chunk = min(check_every, remaining)
-            self.run(chunk)
-            remaining -= chunk
-            if condition(self):
-                return True
-        return False
 
 
 def batched_simulate_counts(

@@ -30,6 +30,7 @@ from collections.abc import Hashable, Iterable
 import numpy as np
 
 from repro.core.protocol import PopulationProtocol, ProtocolError, State, Symbol
+from repro.sim.base import output_multiset_changed
 
 
 class CompiledProtocol:
@@ -47,6 +48,7 @@ class CompiledProtocol:
         "protocol", "states", "index", "size",
         "delta_init", "delta_resp", "pair_table", "reactive_mask",
         "output_symbols", "output_ids", "initial_ids", "_typed",
+        "_outchange",
         "__weakref__",
     )
 
@@ -105,6 +107,8 @@ class CompiledProtocol:
             for symbol in protocol.input_alphabet}
         #: Lazily built typed-array export (see :meth:`typed_arrays`).
         self._typed: "tuple | None" = None
+        #: Lazily built (see :meth:`output_change_table`).
+        self._outchange: "tuple | None" = None
 
     # -- Lookups ---------------------------------------------------------------
 
@@ -122,6 +126,28 @@ class CompiledProtocol:
                       np.ascontiguousarray(self.delta_resp, dtype=np.int64),
                       np.ascontiguousarray(self.output_ids, dtype=np.int64))
             self._typed = cached
+        return cached
+
+    def output_change_table(self) -> tuple:
+        """Per flat pair ``[p*k + q]``: does its transition change the
+        output multiset (:func:`~repro.sim.base.output_multiset_changed`)?
+
+        Returns the flags as a list and as a boolean array, the
+        batched multiset engine's quiescence clock.  Built once per
+        compilation and shared (callers must not mutate).
+        """
+        cached = self._outchange
+        if cached is None:
+            out = self.output_ids
+            k = self.size
+            flags = [False] * (k * k)
+            for flat, result in enumerate(self.pair_table):
+                if result is not None:
+                    p, q = divmod(flat, k)
+                    flags[flat] = output_multiset_changed(
+                        out[p], out[q], out[result[0]], out[result[1]])
+            cached = (flags, np.asarray(flags, dtype=bool))
+            self._outchange = cached
         return cached
 
     def state_id(self, state: State) -> int:

@@ -13,6 +13,11 @@ of three observers:
   convergence time is the last interaction at which any agent's output was
   wrong, observed over a run long enough that a later change is
   overwhelmingly unlikely.
+
+The drivers take any single-trial engine of the pairing model (see
+:mod:`repro.sim.base`): they read its ``last_change`` and
+``last_output_change`` clocks and report the verdict of the surviving
+agents, so twin engines return field-identical results.
 """
 
 from __future__ import annotations
@@ -20,19 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.semantics import is_silent
-from repro.sim.engine import Simulation
-
-
-def _verdict(sim):
-    """The unanimous output of the *surviving* agents.
-
-    With crash faults injected, a dead sensor's frozen output must not
-    count against unanimity (the paper reads the verdict off the
-    remaining population).  Falls back to plain unanimity for simulations
-    without the surviving-output accessor.
-    """
-    getter = getattr(sim, "unanimous_surviving_output", None)
-    return getter() if getter is not None else sim.unanimous_output()
+from repro.sim.base import Engine
 
 
 @dataclass
@@ -44,14 +37,14 @@ class ConvergenceResult:
     #: Interaction count after which the output assignment never changed
     #: during the run (the measured convergence time).
     converged_at: int
-    #: Output assignment agreed by all agents at the end (None = no
+    #: Output agreed by all surviving agents at the end (None = no
     #: unanimity, which for predicate protocols means non-convergence).
     output: "object | None"
     #: True if the stopping rule fired (vs. hitting the step budget).
     stopped: bool
 
 
-def run_until_silent(sim: Simulation, max_steps: int, check_every: int = 0) -> ConvergenceResult:
+def run_until_silent(sim: Engine, max_steps: int, check_every: int = 0) -> ConvergenceResult:
     """Run until the configuration is silent (or the budget is exhausted).
 
     Silence is checked on the multiset snapshot every ``check_every``
@@ -67,29 +60,24 @@ def run_until_silent(sim: Simulation, max_steps: int, check_every: int = 0) -> C
 
     def silent(s) -> bool:
         nonlocal checked_at, verdict
-        marker = getattr(s, "last_change", None)
-        if marker is None or marker != checked_at:
+        marker = s.last_change
+        if marker != checked_at:
             verdict = is_silent(s.protocol, s.multiset())
             checked_at = marker
         return verdict
 
     stopped = sim.run_until(silent, max_steps=max_steps,
                             check_every=check_every)
-    # Agent engines report convergence via the output assignment; the
-    # multiset engines track state changes instead.
-    converged = getattr(sim, "last_output_change", None)
-    if converged is None:
-        converged = sim.last_change
     return ConvergenceResult(
         interactions=sim.interactions,
-        converged_at=converged,
-        output=_verdict(sim),
+        converged_at=sim.last_output_change,
+        output=sim.unanimous_surviving_output(),
         stopped=stopped,
     )
 
 
 def run_until_quiescent(
-    sim: Simulation,
+    sim: Engine,
     patience: int,
     max_steps: int,
 ) -> ConvergenceResult:
@@ -100,20 +88,20 @@ def run_until_quiescent(
     relative to the expected convergence time (e.g. a multiple of
     ``n^2 log n`` for the Lemma 5 protocols).
     """
-    def quiet(s: Simulation) -> bool:
+    def quiet(s: Engine) -> bool:
         return s.interactions - s.last_output_change >= patience
 
     stopped = sim.run_until(quiet, max_steps=max_steps, check_every=max(1, patience // 8))
     return ConvergenceResult(
         interactions=sim.interactions,
         converged_at=sim.last_output_change,
-        output=_verdict(sim),
+        output=sim.unanimous_surviving_output(),
         stopped=stopped,
     )
 
 
 def run_until_correct_stable(
-    sim: Simulation,
+    sim: Engine,
     expected_output,
     *,
     max_steps: int,
@@ -130,8 +118,9 @@ def run_until_correct_stable(
     """
     floor = floor or 4 * sim.n
 
-    def done(s: Simulation) -> bool:
-        if any(out != expected_output for out in s.outputs()):
+    def done(s: Engine) -> bool:
+        unanimous = s.unanimous_output()
+        if unanimous is None or unanimous != expected_output:
             return False
         # All correct now; the last output change is exactly the moment the
         # final wrong output was fixed.
@@ -141,6 +130,6 @@ def run_until_correct_stable(
     return ConvergenceResult(
         interactions=sim.interactions,
         converged_at=sim.last_output_change,
-        output=_verdict(sim),
+        output=sim.unanimous_surviving_output(),
         stopped=stopped,
     )

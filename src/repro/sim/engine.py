@@ -19,6 +19,7 @@ from collections.abc import Mapping, Sequence
 from repro.core.configuration import AgentConfiguration
 from repro.core.population import Population
 from repro.core.protocol import PopulationProtocol, State, Symbol
+from repro.sim.base import AgentArrayEngine
 from repro.sim.schedulers import Scheduler, UniformEdgeScheduler, UniformPairScheduler
 from repro.util.multiset import FrozenMultiset
 from repro.util.rng import resolve_rng
@@ -34,7 +35,7 @@ class SimulationHalted(RuntimeError):
     """
 
 
-class Simulation:
+class Simulation(AgentArrayEngine):
     """A running population-protocol execution.
 
     Parameters
@@ -109,32 +110,7 @@ class Simulation:
         self._delta_cache: dict[tuple[State, State], tuple[State, State]] = {}
         #: Agents that have crashed (state frozen, encounters inert).
         self.crashed: set[int] = set()
-        self._faults = faults
-        if faults is not None:
-            faults.bind(self)
-        #: Attached runtime monitors (see :mod:`repro.sim.monitors`).
-        self.monitors: list = []
-        #: Reproduction tuple embedded into MonitorViolations; harnesses
-        #: set this to a declarative description of the trial.
-        self.monitor_context: "dict | None" = None
-        for monitor in monitors:
-            self.attach_monitor(monitor)
-
-    def attach_monitor(self, monitor) -> None:
-        """Attach a runtime monitor to this simulation instance.
-
-        Swaps ``step`` for a monitored wrapper on this instance only, so
-        simulations with no monitors keep the original hot path untouched.
-        """
-        monitor.on_attach(self)
-        self.monitors.append(monitor)
-        self.step = self._monitored_step
-
-    def _monitored_step(self) -> bool:
-        changed = type(self).step(self)
-        for monitor in self.monitors:
-            monitor.after_step(self, changed)
-        return changed
+        self._observe(faults, monitors)
 
     # -- Introspection ---------------------------------------------------------
 
@@ -142,21 +118,8 @@ class Simulation:
     def n(self) -> int:
         return len(self.states)
 
-    @property
-    def n_alive(self) -> int:
-        """Number of agents that have not crashed."""
-        return len(self.states) - len(self.crashed)
-
-    @property
-    def faults(self):
-        """The attached :class:`~repro.sim.faults.FaultPlan`, or None."""
-        return self._faults
-
-    def alive_agents(self) -> list[int]:
-        """Ids of the live agents, in ascending order."""
-        if not self.crashed:
-            return list(range(len(self.states)))
-        return [a for a in range(len(self.states)) if a not in self.crashed]
+    def _state(self, agent: int) -> State:
+        return self.states[agent]
 
     def outputs(self) -> tuple[Symbol, ...]:
         """Current output assignment."""
@@ -178,30 +141,13 @@ class Simulation:
         return counts
 
     def unanimous_output(self) -> "Symbol | None":
-        """The common output if all agents agree, else ``None``."""
-        first = self._outputs[0]
-        if all(out == first for out in self._outputs[1:]):
-            return first
-        return None
+        """The common output if all agents agree, else ``None``.
 
-    def surviving_outputs(self) -> list[Symbol]:
-        """Outputs of the live agents (= all outputs when nothing crashed)."""
-        if not self.crashed:
-            return list(self._outputs)
-        return [self._outputs[a] for a in range(len(self.states))
-                if a not in self.crashed]
-
-    def unanimous_surviving_output(self) -> "Symbol | None":
-        """The common output of the *live* agents if they agree, else None.
-
-        The paper reads the verdict off the surviving population: a dead
-        sensor's frozen output does not count against unanimity.
+        One C-level scan of the output list: the correct-stable stopping
+        rule asks this every ``n / 2`` interactions.
         """
-        outs = self.surviving_outputs()
-        first = outs[0]
-        if all(out == first for out in outs[1:]):
-            return first
-        return None
+        first = self._outputs[0]
+        return first if self._outputs.count(first) == len(self._outputs) else None
 
     # -- Fault primitives --------------------------------------------------------
 
@@ -223,46 +169,6 @@ class Simulation:
                 "cannot crash: a crash must leave at least two live agents")
         self.crashed.add(agent)
 
-    def crash_random(self, count: int = 1, *, rng=None) -> list[int]:
-        """Crash ``count`` uniformly chosen live agents; all-or-nothing.
-
-        The count is validated up front against the >= 2-survivors
-        invariant: an impossible request raises ``RuntimeError`` before
-        any agent is crashed.  ``rng`` defaults to the engine RNG; fault
-        plans pass their own.
-        """
-        if count < 0:
-            raise ValueError("crash count must be non-negative")
-        if count > self.n_alive - 2:
-            raise RuntimeError(
-                f"cannot crash {count} of {self.n_alive} live agents: "
-                "a crash must leave at least two live agents")
-        rng = self.rng if rng is None else rng
-        alive = self.alive_agents()
-        victims = []
-        for _ in range(count):
-            victim = alive.pop(rng.randrange(len(alive)))
-            self.crash(victim)
-            victims.append(victim)
-        return victims
-
-    def crash_matching(self, match, count: int = 1, *, rng=None) -> int:
-        """Crash up to ``count`` random live agents whose state satisfies
-        ``match``; returns how many were crashed.
-
-        Best-effort (used by adversarial fault models): stops early when
-        no live agent matches or only two survivors remain.
-        """
-        rng = self.rng if rng is None else rng
-        candidates = [a for a in self.alive_agents()
-                      if match(self.states[a])]
-        applied = 0
-        while candidates and applied < count and self.n_alive > 2:
-            victim = candidates.pop(rng.randrange(len(candidates)))
-            self.crash(victim)
-            applied += 1
-        return applied
-
     def set_state(self, agent: int, state: State) -> bool:
         """Overwrite one agent's state, keeping output bookkeeping intact.
 
@@ -278,15 +184,6 @@ class Simulation:
             self._outputs[agent] = out
             self.last_output_change = self.interactions
         return True
-
-    def corrupt_random(self, corruptor, *, rng=None) -> bool:
-        """Rewrite a uniformly random live agent's state via
-        ``corruptor(state, protocol, rng)``; returns True iff it changed."""
-        rng = self.rng if rng is None else rng
-        alive = self.alive_agents()
-        agent = alive[rng.randrange(len(alive))]
-        return self.set_state(
-            agent, corruptor(self.states[agent], self.protocol, rng))
 
     # -- Stepping --------------------------------------------------------------
 
@@ -380,29 +277,6 @@ class Simulation:
         if changed_output:
             self.last_output_change = self.interactions
         return True
-
-    def run(self, steps: int) -> None:
-        """Run a fixed number of interactions."""
-        for _ in range(steps):
-            self.step()
-
-    def run_until(self, condition, max_steps: int, check_every: int = 1) -> bool:
-        """Run until ``condition(self)`` holds or ``max_steps`` pass.
-
-        Returns True iff the condition was met.  ``condition`` is evaluated
-        every ``check_every`` interactions (and before the first step).
-        """
-        if condition(self):
-            return True
-        remaining = max_steps
-        while remaining > 0:
-            chunk = min(check_every, remaining)
-            for _ in range(chunk):
-                self.step()
-            remaining -= chunk
-            if condition(self):
-                return True
-        return False
 
 
 def simulate_counts(

@@ -7,10 +7,14 @@ but that many of its algorithms (especially ones that consolidate the
 computation onto few agents) are not.  This module makes that observation
 a first-class, composable layer of the simulators rather than a forked
 engine: a :class:`FaultPlan` bundles :class:`FaultModel` instances and
-plugs into both :class:`~repro.sim.engine.Simulation` and
+plugs into :class:`~repro.sim.engine.Simulation`,
+:class:`~repro.sim.batched.BatchedSimulation` and
 :class:`~repro.sim.multiset_engine.MultisetSimulation` via their
 ``faults=`` parameter, so faults compose with any scheduler, interaction
-graph, and the convergence/stats machinery.
+graph, and the convergence/stats machinery.  The models act through the
+engines' own fault primitives (``crash``, ``crash_random``,
+``crash_matching``, ``corrupt_random``), which experiment code may also
+call directly.
 
 Three fault kinds are supported, each with deterministic and stochastic
 schedules:
@@ -31,20 +35,14 @@ fault-free build, and on the agent-array engine even an attached plan
 leaves the scheduler's pair sequence unchanged (faults only veto or
 overwrite), so fault and no-fault runs of the same seed are directly
 comparable.
-
-:class:`CrashySimulation` survives as a thin backward-compatible wrapper
-over :class:`~repro.sim.engine.Simulation`'s crash primitives.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 
-from repro.core.protocol import PopulationProtocol, State, Symbol
-from repro.sim.engine import Simulation, SimulationHalted
-from repro.sim.schedulers import Scheduler
+from repro.core.protocol import PopulationProtocol, State
 from repro.util.rng import resolve_rng
 
 #: A corruptor maps ``(state, protocol, rng)`` to the replacement state.
@@ -358,104 +356,3 @@ class OmissionRate(FaultModel):
 
     def omits_encounter(self, sim, plan: FaultPlan) -> bool:
         return plan.rng.random() < self.p
-
-
-# -- Legacy crash-only wrapper -----------------------------------------------------
-
-
-class _AliveUniformPairScheduler(Scheduler):
-    """Uniform random ordered pair among the *live* agents.
-
-    Legacy :class:`CrashySimulation` sampling: dead agents are excluded
-    from the draw, so the interaction counter counts only live-live
-    meetings (under a :class:`CrashAt` plan the plain engines instead let
-    dead encounters burn a tick, matching the paper's global clock)."""
-
-    def __init__(self, alive: "Sequence[int]"):
-        self.alive = alive
-
-    def next_encounter(self, states, rng) -> tuple[int, int]:
-        alive = self.alive
-        if len(alive) < 2:
-            raise SimulationHalted(
-                f"only {len(alive)} live agent(s) remain: no encounter "
-                "is possible")
-        i = rng.randrange(len(alive))
-        j = rng.randrange(len(alive) - 1)
-        if j >= i:
-            j += 1
-        return alive[i], alive[j]
-
-
-class CrashySimulation(Simulation):
-    """Uniform-random-pairing simulation with crash faults (legacy API).
-
-    Crashed agents keep their last state (their battery died; the sensor
-    is inert) but never take part in another interaction.  Outputs are
-    read from the *surviving* agents, matching the paper's reading that
-    the remaining population carries the computation.
-
-    This class predates :class:`FaultPlan` and survives as a thin wrapper
-    over :class:`~repro.sim.engine.Simulation`'s crash primitives
-    (:meth:`~repro.sim.engine.Simulation.crash`,
-    :meth:`~repro.sim.engine.Simulation.crash_random`); new code should
-    attach a :class:`FaultPlan` to a plain engine instead.  At least two
-    agents must survive every crash (the ≥ 2-survivors invariant: a
-    population protocol needs a pair to interact).
-    """
-
-    def __init__(
-        self,
-        protocol: PopulationProtocol,
-        inputs: Sequence[Symbol],
-        *,
-        seed: "int | None" = None,
-    ):
-        warnings.warn(
-            "CrashySimulation is deprecated; attach a FaultPlan (e.g. "
-            "FaultPlan([CrashAt(step, count)], seed=...)) to a plain "
-            "Simulation or use its crash()/crash_random() primitives",
-            DeprecationWarning, stacklevel=2)
-        alive: list[int] = []
-        super().__init__(protocol, inputs, seed=seed,
-                         scheduler=_AliveUniformPairScheduler(alive))
-        alive.extend(range(len(self.states)))
-        #: Live agent ids in ascending order (read-only; use crash()).
-        self.alive = alive
-
-    def crash(self, agent: int) -> None:
-        """Silently stop ``agent``; at least two agents must survive."""
-        if agent in self.crashed:
-            return
-        super().crash(agent)
-        self.alive.remove(agent)
-
-    def restore(self, snap: dict) -> None:
-        super().restore(snap)
-        # Rebuild the live list and re-link the restored scheduler to it.
-        self.alive = [a for a in range(len(self.states))
-                      if a not in self.crashed]
-        self.scheduler.alive = self.alive
-
-    def run_with_crashes(
-        self,
-        crash_times: Iterable[int],
-        total_steps: int,
-    ) -> None:
-        """Run ``total_steps`` interactions, crashing one random agent at
-        each interaction index in ``crash_times``.
-
-        Duplicate times collapse to a single crash; an entry equal to the
-        current interaction index fires before the next step; an entry in
-        the past raises ``ValueError`` (before anything is simulated).
-        """
-        schedule = sorted(set(crash_times))
-        for when in schedule:
-            if when < self.interactions:
-                raise ValueError("crash schedule must be in the future")
-        position = 0
-        while self.interactions < total_steps:
-            if position < len(schedule) and self.interactions >= schedule[position]:
-                self.crash_random()
-                position += 1
-            self.step()

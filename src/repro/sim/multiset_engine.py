@@ -19,12 +19,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from repro.core.protocol import PopulationProtocol, State, Symbol
+from repro.sim.base import Engine, output_multiset_changed
 from repro.sim.engine import SimulationHalted
 from repro.util.multiset import FrozenMultiset
 from repro.util.rng import resolve_rng
 
 
-class MultisetSimulation:
+class MultisetSimulation(Engine):
     """Simulate uniform random pairing on state counts.
 
     Only valid for the complete interaction graph (where agent identity is
@@ -78,28 +79,7 @@ class MultisetSimulation:
         #: bookkeeping; ``counts`` holds only the live agents).
         self.crashed_counts: dict[State, int] = {}
         self.dead = 0
-        self._faults = faults
-        if faults is not None:
-            faults.bind(self)
-        #: Attached runtime monitors (see :mod:`repro.sim.monitors`).
-        self.monitors: list = []
-        #: Reproduction tuple embedded into MonitorViolations.
-        self.monitor_context: "dict | None" = None
-        for monitor in monitors:
-            self.attach_monitor(monitor)
-
-    def attach_monitor(self, monitor) -> None:
-        """Attach a runtime monitor (instance-level ``step`` swap, so the
-        unmonitored hot path is untouched)."""
-        monitor.on_attach(self)
-        self.monitors.append(monitor)
-        self.step = self._monitored_step
-
-    def _monitored_step(self) -> bool:
-        changed = type(self).step(self)
-        for monitor in self.monitors:
-            monitor.after_step(self, changed)
-        return changed
+        self._observe(faults, monitors)
 
     # -- Introspection ---------------------------------------------------------
 
@@ -107,11 +87,6 @@ class MultisetSimulation:
     def n_alive(self) -> int:
         """Number of agents that have not crashed."""
         return self.n - self.dead
-
-    @property
-    def faults(self):
-        """The attached :class:`~repro.sim.faults.FaultPlan`, or None."""
-        return self._faults
 
     def multiset(self) -> FrozenMultiset:
         """Snapshot of the live agents' multiset configuration."""
@@ -128,17 +103,6 @@ class MultisetSimulation:
             out = self.protocol.output(state)
             outputs[out] = outputs.get(out, 0) + count
         return outputs
-
-    def unanimous_output(self) -> "Symbol | None":
-        outputs = self.output_counts()
-        if len(outputs) == 1:
-            return next(iter(outputs))
-        return None
-
-    def unanimous_surviving_output(self) -> "Symbol | None":
-        """Alias of :meth:`unanimous_output`: the live counts *are* the
-        survivors (crashed mass lives in ``crashed_counts``)."""
-        return self.unanimous_output()
 
     # -- Fault primitives --------------------------------------------------------
 
@@ -278,29 +242,8 @@ class MultisetSimulation:
         oc = self._outchange_cache.get(key)
         if oc is None:
             out = self.protocol.output
-            op, oq, op2, oq2 = out(p), out(q), out(p2), out(q2)
-            # The output multiset changes unless the result outputs are a
-            # permutation of the argument outputs.
-            oc = not ((op == op2 and oq == oq2) or (op == oq2 and oq == op2))
+            oc = output_multiset_changed(out(p), out(q), out(p2), out(q2))
             self._outchange_cache[key] = oc
         if oc:
             self.last_output_change = self.interactions
         return True
-
-    def run(self, steps: int) -> None:
-        for _ in range(steps):
-            self.step()
-
-    def run_until(self, condition, max_steps: int, check_every: int = 1) -> bool:
-        """Run until ``condition(self)`` holds or ``max_steps`` pass."""
-        if condition(self):
-            return True
-        remaining = max_steps
-        while remaining > 0:
-            chunk = min(check_every, remaining)
-            for _ in range(chunk):
-                self.step()
-            remaining -= chunk
-            if condition(self):
-                return True
-        return False

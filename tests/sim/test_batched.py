@@ -57,6 +57,7 @@ def _assert_multiset_state_equal(fast, ref):
     assert fast.n == ref.n
     assert fast.n_alive == ref.n_alive
     assert fast.last_change == ref.last_change
+    assert fast.last_output_change == ref.last_output_change
     # Insertion order included: the batched engine mimics the reference
     # dict's scan order exactly, not just its contents.
     assert list(fast.counts.items()) == list(ref.counts.items())

@@ -10,17 +10,11 @@ itself fails the suite.
 
 import hashlib
 
-import pytest
-
 from repro.protocols.counting import CountToK, Epidemic
 from repro.protocols.majority import majority_protocol
-from repro.sim.engine import Simulation, simulate_counts
-from repro.sim.faults import CrashAt, CrashySimulation, FaultPlan, OmissionRate
+from repro.sim.engine import simulate_counts
+from repro.sim.faults import CrashAt, FaultPlan, OmissionRate
 from repro.sim.multiset_engine import MultisetSimulation
-
-# The legacy CrashySimulation fingerprints below are part of the
-# transparency contract; its deprecation is tested in test_faults.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _digest(value) -> str:
@@ -69,27 +63,6 @@ def test_multiset_engine_majority_fingerprint():
 def test_multiset_engine_count_to_k_fingerprint():
     assert _multiset_fingerprint(CountToK(5), {1: 6, 0: 44}, 777, 3000) == \
         ((((5, 50),), 3000, 1203, "4f65830cf3b3ec7f"))
-
-
-def test_crashy_simulation_fingerprint():
-    sim = CrashySimulation(Epidemic(), [1] + [0] * 11, seed=424242)
-    sim.run(500)
-    victims = sim.crash_random(3)
-    sim.run(500)
-    assert tuple(sim.states) == (1,) * 12
-    assert sorted(sim.crashed) == [0, 2, 9]
-    assert victims == [2, 0, 9]
-    assert sim.interactions == 1000
-    assert _digest(sim.rng.getstate()) == "688355be0b2659de"
-
-
-def test_crashy_run_with_crashes_fingerprint():
-    sim = CrashySimulation(CountToK(5), [1] * 4 + [0] * 8, seed=31337)
-    sim.run_with_crashes([100, 200], total_steps=1500)
-    assert tuple(sim.states) == (0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0)
-    assert sorted(sim.crashed) == [3, 7]
-    assert sim.interactions == 1500
-    assert _digest(sim.rng.getstate()) == "4da8230ccfed2fbf"
 
 
 def test_inert_plan_is_transparent_on_agent_engine():

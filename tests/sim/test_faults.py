@@ -10,7 +10,6 @@ from repro.sim.faults import (
     CorruptionRate,
     CrashAt,
     CrashRate,
-    CrashySimulation,
     FaultModel,
     FaultPlan,
     OmissionRate,
@@ -22,32 +21,28 @@ from repro.sim.engine import SimulationHalted
 from repro.sim.multiset_engine import MultisetSimulation
 from repro.util.rng import spawn_seeds
 
-# CrashySimulation is exercised deliberately throughout this module; its
-# DeprecationWarning is pinned explicitly by TestDeprecation below.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 class TestMechanics:
     def test_crash_removes_agent(self, seed):
-        sim = CrashySimulation(Epidemic(), [1, 0, 0, 0], seed=seed)
+        sim = simulate_counts(Epidemic(), {1: 1, 0: 3}, seed=seed)
         sim.crash(2)
         assert sim.n_alive == 3
         assert 2 in sim.crashed
 
     def test_crash_idempotent(self, seed):
-        sim = CrashySimulation(Epidemic(), [1, 0, 0, 0], seed=seed)
+        sim = simulate_counts(Epidemic(), {1: 1, 0: 3}, seed=seed)
         sim.crash(2)
         sim.crash(2)
         assert sim.n_alive == 3
 
     def test_cannot_crash_below_two(self, seed):
-        sim = CrashySimulation(Epidemic(), [1, 0, 0], seed=seed)
+        sim = simulate_counts(Epidemic(), {1: 1, 0: 2}, seed=seed)
         sim.crash(0)
         with pytest.raises(RuntimeError):
             sim.crash(1)
 
     def test_crashed_agents_never_interact(self, seed):
-        sim = CrashySimulation(Epidemic(), [1, 0, 0, 0, 0, 0], seed=seed)
+        sim = Simulation(Epidemic(), [1, 0, 0, 0, 0, 0], seed=seed)
         sim.crash(0)  # the only infected agent dies
         frozen_state = sim.states[0]
         sim.run(5000)
@@ -56,16 +51,10 @@ class TestMechanics:
         assert sim.unanimous_surviving_output() == 0
 
     def test_crash_random_reports_victims(self, seed):
-        sim = CrashySimulation(Epidemic(), [0] * 8, seed=seed)
+        sim = simulate_counts(Epidemic(), {0: 8}, seed=seed)
         victims = sim.crash_random(3)
         assert len(victims) == 3
         assert sim.n_alive == 5
-
-    def test_schedule_must_be_future(self, seed):
-        sim = CrashySimulation(Epidemic(), [0] * 6, seed=seed)
-        sim.run(10)
-        with pytest.raises(ValueError):
-            sim.run_with_crashes([5], total_steps=100)
 
 
 class TestRobustness:
@@ -74,10 +63,11 @@ class TestRobustness:
 
     def test_epidemic_survives_follower_crashes(self, seed):
         for s in spawn_seeds(seed, 10):
-            sim = CrashySimulation(Epidemic(), [1] + [0] * 19, seed=s)
+            sim = Simulation(Epidemic(), [1] + [0] * 19, seed=s)
             # Crash five agents that are currently uninfected.
             sim.run(5)
-            uninfected = [a for a in sim.alive if sim.states[a] == 0][:5]
+            uninfected = [a for a in sim.alive_agents()
+                          if sim.states[a] == 0][:5]
             for victim in uninfected:
                 sim.crash(victim)
             sim.run(20_000)
@@ -86,32 +76,28 @@ class TestRobustness:
     def test_count_to_five_breaks_when_token_holder_dies(self, seed):
         """Crashing the agent holding all tokens silently flips the
         survivors' answer — the fragility the paper warns about."""
-        protocol = count_to_five()
-        sim = CrashySimulation(protocol, [1, 1, 1, 1, 0, 0, 0, 0], seed=seed)
-        # Consolidate all four tokens onto one agent, then kill it.
-        sim.run_until_tokens = None
-        for _ in range(100_000):
-            sim.step()
-            holders = [a for a in sim.alive if sim.states[a] == 4]
-            if holders:
-                sim.crash(holders[0])
-                break
-        else:
+        # Kill the agent that consolidates all four tokens the moment
+        # it appears.
+        plan = FaultPlan(TargetedCrash(lambda state: state == 4), seed=seed)
+        sim = Simulation(count_to_five(), [1, 1, 1, 1, 0, 0, 0, 0],
+                         seed=seed, faults=plan)
+        sim.run_until(lambda s: plan.crashes, max_steps=100_000)
+        if not plan.crashes:
             pytest.skip("tokens never consolidated")
         sim.run(20_000)
         # Survivors now hold zero tokens: the population can never answer
         # "yes" even if more 1-inputs arrive conceptually.
-        assert all(sim.states[a] == 0 for a in sim.alive)
+        assert all(sim.states[a] == 0 for a in sim.alive_agents())
 
     def test_leaderless_threshold_survives_nonleader_crashes(self, seed):
         """Crashing agents with zero count after convergence does not
         disturb the verdict."""
         protocol = ThresholdProtocol({"a": 1, "b": -1}, c=1)
         inputs = ["b"] * 8 + ["a"] * 4
-        sim = CrashySimulation(protocol, inputs, seed=seed)
+        sim = Simulation(protocol, inputs, seed=seed)
         sim.run(30_000)
         # Crash three non-leader, zero-count agents.
-        victims = [a for a in sim.alive
+        victims = [a for a in sim.alive_agents()
                    if sim.states[a][0] == 0 and sim.states[a][2] == 0][:3]
         for victim in victims:
             sim.crash(victim)
@@ -282,13 +268,6 @@ class TestAllOrNothingCrash:
         assert sim.dead == 0
         assert sim.crashed_counts == {}
 
-    def test_crashy_wrapper_rejects_oversized_request(self, seed):
-        sim = CrashySimulation(Epidemic(), [0] * 4, seed=seed)
-        with pytest.raises(RuntimeError):
-            sim.crash_random(3)
-        assert sim.alive == [0, 1, 2, 3]
-        assert sim.n_alive == 4
-
     def test_exact_boundary_is_allowed(self, seed):
         sim = simulate_counts(Epidemic(), {0: 5}, seed=seed)
         assert len(sim.crash_random(3)) == 3
@@ -302,58 +281,28 @@ class TestAllOrNothingCrash:
             sim.crash(1)
 
 
-class TestRunWithCrashesSchedule:
-    def test_entry_at_current_index_fires(self, seed):
-        sim = CrashySimulation(Epidemic(), [0] * 8, seed=seed)
-        sim.run(10)
-        sim.run_with_crashes([10], total_steps=20)
-        assert len(sim.crashed) == 1
-        assert sim.interactions == 20
-
-    def test_duplicate_times_collapse_to_one_crash(self, seed):
-        sim = CrashySimulation(Epidemic(), [0] * 8, seed=seed)
-        sim.run_with_crashes([5, 5, 5], total_steps=50)
-        assert len(sim.crashed) == 1
-
-    def test_past_entry_raises_before_simulating(self, seed):
-        sim = CrashySimulation(Epidemic(), [0] * 8, seed=seed)
-        sim.run(10)
-        with pytest.raises(ValueError):
-            sim.run_with_crashes([5, 20], total_steps=100)
-        assert sim.interactions == 10
-        assert not sim.crashed
-
-
-class TestDeprecation:
-    @pytest.mark.filterwarnings("default::DeprecationWarning")
-    def test_crashy_simulation_warns_toward_fault_plan(self, seed):
-        with pytest.warns(DeprecationWarning, match="FaultPlan"):
-            CrashySimulation(Epidemic(), [1, 0, 0], seed=seed)
-
-
 class TestLoneSurvivor:
     def test_scheduler_halts_instead_of_crashing(self, seed):
-        # crash() enforces the >= 2-survivors invariant, so reach the
-        # degenerate state the way a buggy harness would: mutate the
-        # bookkeeping directly.  The scheduler must raise the structured
-        # SimulationHalted, not an IndexError from an empty draw.
-        sim = CrashySimulation(Epidemic(), [1, 0, 0, 0], seed=seed)
-        for agent in (1, 2, 3):
-            sim.crashed.add(agent)
-            sim.alive.remove(agent)
+        # crash_random() enforces the >= 2-survivors invariant, so reach
+        # the degenerate state the way a buggy harness would: crash
+        # through the bookkeeping directly.  The engine must raise the
+        # structured SimulationHalted, not an error from an empty draw.
+        sim = MultisetSimulation(Epidemic(), {1: 1, 0: 3}, seed=seed)
+        for _ in range(3):
+            sim._crash_state(0)
         with pytest.raises(SimulationHalted, match="1 live agent"):
             sim.run(1)
         assert sim.interactions == 0  # nothing was simulated
 
     def test_zero_survivors_also_halt(self, seed):
-        sim = CrashySimulation(Epidemic(), [1, 0], seed=seed)
-        sim.crashed.update({0, 1})
-        sim.alive.clear()
+        sim = MultisetSimulation(Epidemic(), {1: 1, 0: 1}, seed=seed)
+        sim._crash_state(0)
+        sim._crash_state(1)
         with pytest.raises(SimulationHalted, match="0 live agent"):
             sim.step()
 
     def test_two_survivors_keep_running(self, seed):
-        sim = CrashySimulation(Epidemic(), [1, 0, 0, 0], seed=seed)
+        sim = simulate_counts(Epidemic(), {1: 1, 0: 3}, seed=seed)
         sim.crash(1)
         sim.crash(2)
         sim.run(100)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 PACKAGES = [
@@ -25,10 +26,22 @@ PACKAGES = [
 ]
 
 
+#: A sentence ends at a period followed by whitespace, except inside
+#: ``code`` spans, in an ellipsis, and after the abbreviations the
+#: docstrings use ("e.g.", "i.e.", "Sect.", "Fig.", "vs.").
+_SENTENCE_END = re.compile(
+    r"``.*?``|(?<!e\.g)(?<!i\.e)(?<!Sect)(?<!Fig)(?<!vs)(?<!\.)\.(?:\s|$)")
+
+
 def first_sentence(obj) -> str:
+    """The first sentence of ``obj``'s docstring, on one line."""
     doc = inspect.getdoc(obj) or ""
-    line = doc.strip().split("\n")[0].strip()
-    return line.rstrip(".") + "." if line else "(undocumented)"
+    paragraph = " ".join(doc.strip().split("\n\n")[0].split())
+    for end in _SENTENCE_END.finditer(paragraph):
+        if not end.group().startswith("``"):
+            paragraph = paragraph[:end.start()]
+            break
+    return paragraph.rstrip(".") + "." if paragraph else "(undocumented)"
 
 
 def render() -> str:
@@ -53,7 +66,9 @@ def render() -> str:
             kind = ("class" if inspect.isclass(obj)
                     else "function" if callable(obj)
                     else "constant")
-            lines.append(f"- **`{name}`** ({kind}) — {first_sentence(obj)}")
+            summary = (f"``{obj!r}``." if kind == "constant"
+                       else first_sentence(obj))
+            lines.append(f"- **`{name}`** ({kind}) — {summary}")
         lines.append("")
     lines.extend(FAULTS_SECTION)
     cli = importlib.import_module("repro.cli")
@@ -103,8 +118,8 @@ FAULTS_SECTION = [
     "`python -m repro robustness --protocol epidemic --protocol count_to_k`.",
     "Direct crash primitives live on the engines themselves (`crash`,",
     "`crash_random`, `crash_matching`, `corrupt_random`,",
-    "`surviving_outputs`, `unanimous_surviving_output`); the legacy",
-    "`CrashySimulation` wrapper remains for crash-only experiments.",
+    "`surviving_outputs`, `unanimous_surviving_output`); schedule",
+    "crashes with a `FaultPlan` (`CrashAt`, `CrashRate`, `TargetedCrash`).",
     "",
 ]
 
