@@ -33,6 +33,7 @@ from repro.protocols import registry
 from repro.sim.convergence import run_until_quiescent
 from repro.sim.engine import simulate_counts
 from repro.sim.faults import (
+    ROBUSTNESS_ENGINES,
     CrashAt,
     FaultPlan,
     OmissionRate,
@@ -42,16 +43,6 @@ from repro.util.rng import spawn_seeds
 
 #: Maps a fault seed to the plan for one trial (None = fault-free trial).
 PlanFactory = Callable[[int], "FaultPlan | None"]
-
-#: Engines ``repro robustness --engine`` accepts.  ``reference`` is the
-#: agent-array engine (default, exact semantics for every scenario),
-#: ``multiset`` the count-based scalar engine, ``batched`` the
-#: bit-identical vectorized fast path, and ``ensemble`` the lockstep
-#: fleet engine (statistical contract; scenarios that need a *targeted*
-#: fault predicate fall back to per-trial multiset runs, the ensemble's
-#: scalar-twin engine, because predicates over states are not
-#: declarative data).
-ROBUSTNESS_ENGINES = ("reference", "multiset", "batched", "ensemble")
 
 
 @dataclass(frozen=True)

@@ -863,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     robustness.add_argument("--seed", type=int, default=0)
     robustness.add_argument("--patience", type=int, default=10_000)
     robustness.add_argument("--max-steps", type=int, default=300_000)
-    from repro.analysis.robustness import ROBUSTNESS_ENGINES
+    from repro.sim.faults import ROBUSTNESS_ENGINES
 
     robustness.add_argument("--engine", default="reference",
                             choices=ROBUSTNESS_ENGINES,

@@ -42,9 +42,11 @@ The ``numba`` backend JIT-compiles one fused per-interaction loop over
 the same tables and stream, bit-identical by construction; requesting it
 where it cannot run falls back to ``numpy`` with a one-time warning.  Populations where ``n`` and ``n - 1`` differ in bit
 length (``n`` or ``n - 1`` a power of two, or ``n == 2``), ``n > 2**31``,
-or a non-stdlib RNG fall back to a compiled scalar path that calls
-``rng.randrange`` like the reference engines — still bit-identical, still
-faster than the reference, just not block-decoded.
+or a non-stdlib RNG fall back to a compiled scalar path that draws each
+pair like the reference engines (:func:`~repro.sim.schedulers.uniform_pair`)
+— still bit-identical, still faster than the reference, just not
+block-decoded.  Blocks grow geometrically from ``_FIRST_BLOCK_WORDS`` to
+``_BLOCK_WORDS``, so a short run never pays for decoding a full block.
 
 Faults and monitors on the batched agent engine
 -----------------------------------------------
@@ -91,6 +93,7 @@ from repro.sim.backends.numpy_backend import (  # noqa: F401 (back-compat)
     _WINDOW_MAX,
 )
 from repro.sim.compiled import CompiledProtocol, compile_protocol
+from repro.sim.schedulers import uniform_pair
 from repro.util.multiset import FrozenMultiset
 from repro.util.rng import resolve_rng
 
@@ -100,8 +103,11 @@ __all__ = [
     "batched_simulate_counts",
 ]
 
-#: 32-bit words decoded per ``getrandbits`` block.
+#: Largest block of 32-bit words decoded per ``getrandbits`` call.
 _BLOCK_WORDS = 1 << 14
+#: First block of a fresh stream; each later block doubles up to
+#: ``_BLOCK_WORDS``, so a short run never pays for a full block.
+_FIRST_BLOCK_WORDS = 64
 
 
 class _PairDrawStream:
@@ -115,16 +121,23 @@ class _PairDrawStream:
     ahead of the logical stream by whatever is buffered — interleaving
     other draws on the same ``rng`` mid-run would diverge, which is why
     the batched engines own their RNG exclusively.
+
+    Blocks start at ``_FIRST_BLOCK_WORDS`` words and double up to
+    ``_BLOCK_WORDS``.  The decoded sequence does not depend on that
+    schedule, nor on how many whole ``randrange(n), randrange(n - 1)``
+    pairs the ``rng`` served before the stream was built: decoding
+    starts at the RNG's current position, on a pair boundary.
     """
 
     __slots__ = ("rng", "n", "shift", "block_words",
                  "pv", "qv", "ptr", "_pending", "_emitted")
 
-    def __init__(self, rng, n: int, block_words: int = _BLOCK_WORDS):
+    def __init__(self, rng, n: int):
         self.rng = rng
         self.n = n
         self.shift = 32 - n.bit_length()
-        self.block_words = block_words
+        #: Words in the next block decoded.
+        self.block_words = min(_FIRST_BLOCK_WORDS, _BLOCK_WORDS)
         empty = np.empty(0, dtype=np.int64)
         self.pv = empty
         self.qv = empty
@@ -165,6 +178,7 @@ class _PairDrawStream:
 
     def _decode_block(self):
         words = self.block_words
+        self.block_words = min(2 * words, _BLOCK_WORDS)
         raw = self.rng.getrandbits(32 * words)
         vals = np.frombuffer(raw.to_bytes(4 * words, "little"),
                              dtype="<u4").astype(np.int64) >> self.shift
@@ -723,19 +737,17 @@ class BatchedSimulation(AgentArrayEngine):
         return changed
 
     def _step_plain(self) -> bool:
-        n = len(self._ids)
         stream = self._stream
         if stream is None:
-            initiator = self.rng.randrange(n)
-            responder = self.rng.randrange(n - 1)
+            initiator, responder = uniform_pair(self.rng, len(self._ids))
         else:
             stream.ensure(1)
             i = stream.ptr
             initiator = int(stream.pv[i])
             responder = int(stream.qv[i])
             stream.ptr = i + 1
-        if responder >= initiator:
-            responder += 1
+            if responder >= initiator:
+                responder += 1
         self.interactions += 1
         ids = self._ids
         result = self._pairs[ids[initiator] * self._k + ids[responder]]
@@ -751,19 +763,17 @@ class BatchedSimulation(AgentArrayEngine):
         :meth:`repro.sim.engine.Simulation.step` under the same plan."""
         plan = self._faults
         plan.pre_step(self)
-        n = len(self._ids)
         stream = self._stream
         if stream is None:
-            initiator = self.rng.randrange(n)
-            responder = self.rng.randrange(n - 1)
+            initiator, responder = uniform_pair(self.rng, len(self._ids))
         else:
             stream.ensure(1)
             i = stream.ptr
             initiator = int(stream.pv[i])
             responder = int(stream.qv[i])
             stream.ptr = i + 1
-        if responder >= initiator:
-            responder += 1
+            if responder >= initiator:
+                responder += 1
         self.interactions += 1
         changed = False
         if self.crashed and (initiator in self.crashed

@@ -45,6 +45,18 @@ from collections.abc import Callable, Iterable
 from repro.core.protocol import PopulationProtocol, State
 from repro.util.rng import resolve_rng
 
+#: Engines ``repro robustness --engine`` accepts
+#: (:mod:`repro.analysis.robustness`; defined here so the CLI parser
+#: can offer them without importing :mod:`repro.analysis`).
+#: ``reference`` is the agent-array engine (default, exact semantics
+#: for every scenario), ``multiset`` the count-based scalar engine,
+#: ``batched`` the bit-identical vectorized fast path, and ``ensemble``
+#: the lockstep fleet engine (statistical contract; scenarios that need
+#: a *targeted* fault predicate fall back to per-trial multiset runs,
+#: the ensemble's scalar-twin engine, because predicates over states
+#: are not declarative data).
+ROBUSTNESS_ENGINES = ("reference", "multiset", "batched", "ensemble")
+
 #: A corruptor maps ``(state, protocol, rng)`` to the replacement state.
 Corruptor = Callable[..., State]
 

@@ -43,6 +43,36 @@ class Scheduler(ABC):
         """Return the (initiator, responder) agent pair to interact next."""
 
 
+def uniform_pair(rng: random.Random, n: int) -> tuple[int, int]:
+    """A uniform ordered pair of distinct agents out of ``n``.
+
+    The initiator is ``rng.randrange(n)`` and the responder
+    ``rng.randrange(n - 1)``, shifted past the initiator.  On a stock
+    ``random.Random`` both draws are taken the way ``randrange`` takes
+    them, by rejection over ``getrandbits(m.bit_length())`` (the word
+    stream the batched engines decode), without ``randrange``'s argument
+    handling, which costs more than the draws themselves.  Any other RNG
+    type may override ``randrange`` and is called through it.
+    """
+    if type(rng) is random.Random:
+        getrandbits = rng.getrandbits
+        bits = n.bit_length()
+        initiator = getrandbits(bits)
+        while initiator >= n:
+            initiator = getrandbits(bits)
+        m = n - 1
+        bits = m.bit_length()
+        responder = getrandbits(bits)
+        while responder >= m:
+            responder = getrandbits(bits)
+    else:
+        initiator = rng.randrange(n)
+        responder = rng.randrange(n - 1)
+    if responder >= initiator:
+        responder += 1
+    return initiator, responder
+
+
 class UniformPairScheduler(Scheduler):
     """Uniform random ordered pair of distinct agents (complete graph).
 
@@ -59,11 +89,7 @@ class UniformPairScheduler(Scheduler):
         states: Sequence[State],
         rng: random.Random,
     ) -> tuple[int, int]:
-        initiator = rng.randrange(self.n)
-        responder = rng.randrange(self.n - 1)
-        if responder >= initiator:
-            responder += 1
-        return initiator, responder
+        return uniform_pair(rng, self.n)
 
 
 class UniformEdgeScheduler(Scheduler):

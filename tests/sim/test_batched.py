@@ -281,6 +281,72 @@ class TestAgentFingerprint:
         assert fast._stream is None  # falls back, still bit-identical
 
 
+class TestDrawStreamSchedule:
+    """The decoded pair sequence is the ``randrange`` sequence whatever
+    the block schedule, and whatever number of pairs ``randrange``
+    served before the decoder attached."""
+
+    #: ``(_FIRST_BLOCK_WORDS, _BLOCK_WORDS)``; None keeps the module's.
+    SCHEDULES = {
+        "fixed-1": (1, 1),
+        "fixed-3": (3, 3),
+        "geometric": (2, 512),
+        "default": None,
+    }
+
+    @staticmethod
+    def _randrange_pairs(seed, n, count):
+        rng = random.Random(seed)
+        return [(rng.randrange(n), rng.randrange(n - 1))
+                for _ in range(count)]
+
+    @staticmethod
+    def _decoded_pairs(seed, n, count, attach_after):
+        from repro.sim.batched import _PairDrawStream
+
+        rng = random.Random(seed)
+        pairs = [(rng.randrange(n), rng.randrange(n - 1))
+                 for _ in range(attach_after)]
+        stream = _PairDrawStream(rng, n)
+        while len(pairs) < count:
+            want = min(count - len(pairs), 23)  # uneven requests
+            stream.ensure(want)
+            i = stream.ptr
+            pairs.extend(zip(stream.pv[i:i + want].tolist(),
+                             stream.qv[i:i + want].tolist()))
+            stream.ptr = i + want
+        return pairs
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_matches_randrange(self, schedule, monkeypatch):
+        from repro.sim import batched
+
+        if self.SCHEDULES[schedule] is not None:
+            first, cap = self.SCHEDULES[schedule]
+            monkeypatch.setattr(batched, "_FIRST_BLOCK_WORDS", first)
+            monkeypatch.setattr(batched, "_BLOCK_WORDS", cap)
+        for n in range(3, 201):
+            if not batched._PairDrawStream.supported(n):
+                continue
+            for attach_after in (0, 1, 6 + n % 5):
+                seed = 1000 * n + attach_after
+                assert (self._decoded_pairs(seed, n, 60, attach_after)
+                        == self._randrange_pairs(seed, n, 60)), \
+                    (n, attach_after)
+
+    def test_blocks_grow_geometrically_to_the_cap(self, monkeypatch):
+        from repro.sim import batched
+
+        monkeypatch.setattr(batched, "_FIRST_BLOCK_WORDS", 4)
+        monkeypatch.setattr(batched, "_BLOCK_WORDS", 32)
+        stream = batched._PairDrawStream(random.Random(0), 100)
+        sizes = []
+        for _ in range(6):
+            sizes.append(stream.block_words)
+            stream._decode_block()
+        assert sizes == [4, 8, 16, 32, 32, 32]
+
+
 #: Fault-plan factories (plans are stateful and bind to one simulation,
 #: so each engine gets a fresh but identical instance).
 FAULT_PLANS = {

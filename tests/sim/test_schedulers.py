@@ -38,6 +38,32 @@ class TestUniformPair:
         with pytest.raises(ValueError):
             UniformPairScheduler(1)
 
+    def test_draws_are_the_randrange_draws(self):
+        # The scheduler's fast draw must consume the RNG exactly like
+        # randrange(n), randrange(n - 1): the reference trajectories, the
+        # stored records and the batched decoder all rest on that stream.
+        for n in list(range(2, 70)) + [127, 128, 129, 1000, 2 ** 20 + 1]:
+            fast, slow = random.Random(n), random.Random(n)
+            sched = UniformPairScheduler(n)
+            for _ in range(200):
+                i = slow.randrange(n)
+                j = slow.randrange(n - 1)
+                assert sched.next_encounter([], fast) == (i, j + (j >= i))
+            assert fast.getstate() == slow.getstate()
+
+    def test_other_rng_types_use_their_randrange(self):
+        class Counting(random.Random):
+            calls = 0
+
+            def randrange(self, *args):
+                Counting.calls += 1
+                return super().randrange(*args)
+
+        sched = UniformPairScheduler(9)
+        for _ in range(10):
+            sched.next_encounter([], Counting(3))
+        assert Counting.calls == 20
+
 
 class TestUniformEdge:
     def test_only_graph_edges(self):

@@ -486,6 +486,37 @@ class TestBenchCommand:
         assert "error" in capsys.readouterr().err
 
 
+class TestLazyImports:
+    def test_exp_commands_leave_scipy_unimported(self, tmp_path):
+        # scipy.sparse costs every CLI start (and every spawned worker)
+        # time and memory; only the analysis commands need it.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        store = str(tmp_path / "exp.jsonl")
+        script = f"""
+import sys
+from repro.cli import build_parser, main
+build_parser()
+assert main(["exp", "run", "--protocol", "epidemic", "--ns", "6",
+             "--trials", "1", "--input", "ones:1", "--patience", "200",
+             "--max-steps", "5000", "--store", {store!r}]) == 0
+assert main(["exp", "report", "--store", {store!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src if not path else src + os.pathsep + path}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "[]"
+
+
 class TestExpEngineFlag:
     def test_batched_engine_runs(self, capsys):
         code = main(["exp", "run", "--protocol", "leader-election",
